@@ -44,9 +44,8 @@ pub struct ServeBenchConfig {
     /// Per-request deadline, if any.
     pub deadline: Option<Duration>,
     pub seed: u64,
-    /// Metrics registry handed to the server (scraped via
-    /// `FftServer::stats` just before the drain). `None` measures the
-    /// metrics-off side of an overhead pair.
+    /// Metrics registry handed to the server. `None` gives the server a
+    /// private one: the metrics-off side of an overhead pair.
     pub metrics: Option<Arc<Registry>>,
     /// Flight recorder handed to the server.
     pub flight: Option<Arc<FlightRecorder>>,
@@ -126,12 +125,6 @@ pub fn run_open_loop(cfg: &ServeBenchConfig) -> Result<ServeBenchResult, ServeEr
         if !cfg.arrival.is_zero() && i + 1 < cfg.requests {
             std::thread::sleep(cfg.arrival);
         }
-    }
-    if cfg.metrics.is_some() {
-        // One scrape before the drain syncs pool and plan-cache
-        // counters into the registry (the phase histograms and outcome
-        // counters update live from the workers).
-        let _ = server.stats();
     }
     let report = server.shutdown();
     let mut latencies_ns: Vec<f64> = Vec::with_capacity(tickets.len());
@@ -226,11 +219,12 @@ pub fn run_serve_suite(
 }
 
 /// Runs the serve suite twice on identical schedules — metrics off,
-/// then metrics on (registry + flight recorder armed) — and returns
-/// `(off, on)`. Gating `on` against `off` with the ordinary compare
-/// threshold is the instrumentation-overhead contract: the whole
-/// observability layer must cost less than the gate's percentage on
-/// the median service latency.
+/// then metrics on — and returns `(off, on)`. The server counts into a
+/// registry either way; "off" keeps it private, "on" shares a caller's
+/// registry and arms the flight recorder. Gating `on` against `off`
+/// with the ordinary compare threshold is the instrumentation-overhead
+/// contract: exporting and recording must cost less than the gate's
+/// percentage on the median service latency.
 pub fn run_serve_suite_paired(
     cfg: &ServeBenchConfig,
     stats_cfg: &StatsConfig,

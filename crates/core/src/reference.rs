@@ -9,14 +9,13 @@
 //! injected fault, the way a cold-standby implementation would not
 //! share the primary's failure modes).
 //!
-//! `bwfft-baselines` hosts an equivalent implementation for benchmark
-//! comparisons, but that crate depends on this one, so the escalation
-//! path needs its own copy here (the dependency arrow cannot be
-//! reversed).
+//! The row-column loops are public because they are also the
+//! benchmark baselines: `bwfft-baselines` times them as the
+//! pencil-pencil and slab-pencil FFTs the paper compares against.
 
 use crate::error::CoreError;
 use crate::plan::{Dims, FftPlan};
-use bwfft_kernels::Fft1d;
+use bwfft_kernels::{Direction, Fft1d};
 use bwfft_num::{try_vec_zeroed, Complex64};
 
 /// Transforms `data` in place per the plan's dims and direction using
@@ -38,19 +37,19 @@ pub fn execute_reference(plan: &FftPlan, data: &mut [Complex64]) -> Result<(), C
         });
     }
     match plan.dims {
-        Dims::Two { n, m } => reference_2d(data, n, m, plan)?,
-        Dims::Three { k, n, m } => reference_3d(data, k, n, m, plan)?,
+        Dims::Two { n, m } => reference_2d(data, n, m, plan.dir),
+        Dims::Three { k, n, m } => reference_3d(data, k, n, m, plan.dir),
     }
-    Ok(())
 }
 
-fn reference_2d(
+/// Row-column 2D FFT of an `n × m` row-major array: contiguous rows,
+/// then stride-`m` columns through one gathered pencil.
+pub fn reference_2d(
     data: &mut [Complex64],
     n: usize,
     m: usize,
-    plan: &FftPlan,
+    dir: Direction,
 ) -> Result<(), CoreError> {
-    let dir = plan.dir;
     let mut row_fft = Fft1d::new(m, dir);
     for row in data.chunks_exact_mut(m) {
         row_fft.run(row);
@@ -69,14 +68,15 @@ fn reference_2d(
     Ok(())
 }
 
-fn reference_3d(
+/// Row-column 3D FFT of a `k × n × m` row-major cube: x-pencils, then
+/// y-pencils slab by slab, then the z-pencil pass.
+pub fn reference_3d(
     data: &mut [Complex64],
     k: usize,
     n: usize,
     m: usize,
-    plan: &FftPlan,
+    dir: Direction,
 ) -> Result<(), CoreError> {
-    let dir = plan.dir;
     // Stage 1: x-pencils (contiguous rows).
     let mut x_fft = Fft1d::new(m, dir);
     for row in data.chunks_exact_mut(m) {
@@ -97,7 +97,18 @@ fn reference_3d(
             }
         }
     }
-    // Stage 3: z-pencils (stride n·m).
+    z_pencils(data, k, n, m, dir)
+}
+
+/// Stage 3 of the 3D row-column FFT on its own: the stride-`n·m`
+/// z-pencils of a `k × n × m` cube.
+pub fn z_pencils(
+    data: &mut [Complex64],
+    k: usize,
+    n: usize,
+    m: usize,
+    dir: Direction,
+) -> Result<(), CoreError> {
     let mut z_fft = Fft1d::new(k, dir);
     let mut zpencil = try_vec_zeroed::<Complex64>(k, "reference pencil")?;
     for y in 0..n {

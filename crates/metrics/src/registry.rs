@@ -398,8 +398,8 @@ impl Registry {
     }
 
     /// Rare-path convenience: overwrite a counter with an absolute
-    /// value (for mirroring an externally accumulated total — pool and
-    /// plan-cache counters — into the registry at scrape time).
+    /// value (for mirroring an externally accumulated total — the
+    /// serve buffer pool's — into the registry at scrape time).
     pub fn set_counter(&self, name: &str, v: u64) {
         let handle = self.counter(name);
         if let Some(c) = &handle.0 {

@@ -41,6 +41,14 @@ pub fn is_pow2(n: usize) -> bool {
     n != 0 && n & (n - 1) == 0
 }
 
+/// Poison-tolerant lock. A peer that panicked while holding the lock
+/// leaves the data in a state every caller in this workspace can still
+/// use (counters, queues, shelves, first-error slots), so the guard is
+/// recovered instead of propagating the panic.
+pub fn lock_tolerant<T>(m: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
 /// Integer base-2 logarithm of a power of two.
 ///
 /// # Panics

@@ -17,8 +17,9 @@
 
 use crate::aligned::AlignedVec;
 use crate::alloc::AllocError;
+use crate::lock_tolerant;
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex};
 
 /// Counters a pool exposes for reports and tests.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -74,10 +75,6 @@ impl<T: core::fmt::Debug> core::fmt::Debug for BufferPool<T> {
             .field("stats", &s)
             .finish()
     }
-}
-
-fn lock_tolerant<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 impl<T> BufferPool<T> {

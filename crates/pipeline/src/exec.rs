@@ -43,11 +43,11 @@ use crate::error::{ConfigError, IntegrityKind, PipelineError};
 use crate::fault::{FaultPhase, FaultPlan};
 use crate::roles::Role;
 use crate::schedule::{PipelineStep, Schedule};
-use bwfft_num::Complex64;
+use bwfft_num::{lock_tolerant, Complex64};
 use bwfft_trace::{MarkKind, Phase, ThreadTracer, TraceCollector, TraceRole};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 /// Per-data-thread loader: `(block, offset_in_block, share)` — fill
@@ -327,12 +327,6 @@ impl FailureCell {
             .into_inner()
             .unwrap_or_else(|e| e.into_inner())
     }
-}
-
-/// Poison-tolerant lock: a peer panicking while holding the lock is
-/// exactly the situation this executor must survive.
-fn lock_tolerant<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 /// A reusable counting barrier whose waiters poll the shared abort flag

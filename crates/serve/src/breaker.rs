@@ -16,7 +16,8 @@
 //! seeded load, which is what the chaos matrix replays.
 
 use bwfft_core::RecoveryTier;
-use std::sync::{Mutex, MutexGuard};
+use bwfft_num::lock_tolerant;
+use std::sync::Mutex;
 
 /// The breaker's position on the degradation ladder. The first three
 /// levels map onto [`RecoveryTier`]; `Open` admits only probes.
@@ -142,10 +143,6 @@ struct BreakerState {
 pub struct Breaker {
     cfg: BreakerConfig,
     state: Mutex<BreakerState>,
-}
-
-fn lock_tolerant<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 impl Breaker {

@@ -17,6 +17,10 @@
 //! outcome), joins the workers, and returns a [`ServeReport`] whose
 //! accounting must balance: `submitted == completed +
 //! deadline_exceeded + failed`.
+//!
+//! Every outcome, rejection and plan-cache event is counted once, in
+//! the server's [`Registry`]; a [`ServeReport`] is a read of those
+//! counters, so a scrape and a report can never disagree.
 
 use crate::breaker::{Admission, Breaker, BreakerConfig, BreakerLevel, BreakerTransition};
 use crate::error::{RejectReason, ServeError};
@@ -27,13 +31,13 @@ use bwfft_core::{
     Supervisor,
 };
 use bwfft_metrics::{Counter, FlightRecorder, Gauge, Histogram, Registry};
-use bwfft_num::{check_alloc_budget, BufferPool, Complex64, PoolStats, PooledBuf};
+use bwfft_num::{check_alloc_budget, lock_tolerant, BufferPool, Complex64, PoolStats, PooledBuf};
 use bwfft_pipeline::{CancelReason, CancelToken, FaultPlan, IntegrityConfig, PipelineError};
 use bwfft_trace::{MarkKind, TraceCollector};
 use bwfft_tuner::{CacheStats, HostFingerprint, PlanCache, PlanVariant, Tuner, TunerOptions};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 /// Service configuration. The defaults are deliberately small: two
@@ -73,11 +77,13 @@ pub struct ServeConfig {
     pub verify_energy: bool,
     /// Mark sink for admission, breaker, and drain events.
     pub trace: Option<Arc<TraceCollector>>,
-    /// Live metrics registry. When set, the server pre-registers its
-    /// phase histograms, outcome counters and state gauges at start
-    /// and updates them per request with single relaxed atomics; when
-    /// `None` every would-be update is one branch (the
-    /// [`bwfft_metrics`] disabled-handle contract).
+    /// The registry every serve and plan-cache counter, phase histogram
+    /// and state gauge lives in, pre-registered at start and updated
+    /// per request with single relaxed atomics. `None` gives the server
+    /// a private registry: counting never switches off, this field only
+    /// decides who else can scrape it. A registry belongs to one live
+    /// server — a second server on the same registry would sum into
+    /// the same cells, and neither report would be its own.
     pub metrics: Option<Arc<Registry>>,
     /// Flight recorder. When set, every finished request deposits its
     /// span tree, and breaker degradations / integrity trips / worker
@@ -105,7 +111,8 @@ impl Default for ServeConfig {
     }
 }
 
-/// Rejections by reason, as counted at admission.
+/// Rejections by reason: a read of the `serve.rejected.<reason>`
+/// counters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RejectCounts {
     pub queue_full: u64,
@@ -118,16 +125,25 @@ pub struct RejectCounts {
 
 impl RejectCounts {
     pub fn total(&self) -> u64 {
-        self.queue_full
-            + self.byte_budget
-            + self.pool_exhausted
-            + self.breaker_open
-            + self.shutting_down
-            + self.retry_budget
+        self.by_reason().iter().map(|(_, n)| n).sum()
+    }
+
+    /// `(RejectReason::token(), count)` for every reason, in field order.
+    pub fn by_reason(&self) -> [(&'static str, u64); 6] {
+        [
+            ("queue_full", self.queue_full),
+            ("byte_budget", self.byte_budget),
+            ("pool_exhausted", self.pool_exhausted),
+            ("breaker_open", self.breaker_open),
+            ("shutting_down", self.shutting_down),
+            ("retry_budget", self.retry_budget),
+        ]
     }
 }
 
-/// What the service did over its lifetime (or up to a snapshot).
+/// What the service did over its lifetime (or up to a
+/// [`FftServer::stats`] read): a view of the server's registry counters
+/// plus the breaker trail and buffer-pool totals.
 #[derive(Clone, Debug)]
 pub struct ServeReport {
     /// Requests admitted past every admission check.
@@ -158,8 +174,9 @@ impl ServeReport {
         self.completed + self.deadline_exceeded + self.failed
     }
 
-    /// The drained-service invariant: every admitted request terminated
-    /// with exactly one outcome, and tier accounting matches. Only
+    /// The drained-service invariant, computed from the registry
+    /// counters: every admitted request terminated with exactly one
+    /// outcome, and the per-tier completions sum to the total. Only
     /// meaningful after [`FftServer::shutdown`].
     pub fn holds(&self) -> bool {
         self.submitted == self.outcomes()
@@ -197,7 +214,8 @@ struct QueuedRequest {
 }
 
 /// Pre-registered metric handles (the serving hot path never touches
-/// the registry's shard locks). Named `Instruments` because
+/// the registry's shard locks) and the only place serve events are
+/// counted. Named `Instruments` because
 /// `bwfft_bench::record::ServeMetrics` already names the bench-record
 /// column set.
 struct Instruments {
@@ -214,6 +232,11 @@ struct Instruments {
     failed: Counter,
     rejected: Counter,
     recovered_runs: Counter,
+    /// `serve.completed.<tier>`, indexed by [`tier_index`].
+    tier_completed: [Counter; 3],
+    /// `serve.rejected.<token>`, indexed by [`reject_index`];
+    /// `rejected` counts the same events in total.
+    rejected_by: [Counter; 6],
     queue_depth: Gauge,
     in_flight_bytes: Gauge,
     /// Breaker position as its ladder index: 0 normal … 3 open.
@@ -235,6 +258,15 @@ impl Instruments {
             failed: reg.counter("serve.failed"),
             rejected: reg.counter("serve.rejected"),
             recovered_runs: reg.counter("serve.recovered_runs"),
+            tier_completed: [
+                RecoveryTier::Pipelined,
+                RecoveryTier::Fused,
+                RecoveryTier::Reference,
+            ]
+            .map(|tier| reg.counter(&format!("serve.completed.{tier}"))),
+            rejected_by: RejectCounts::default()
+                .by_reason()
+                .map(|(token, _)| reg.counter(&format!("serve.rejected.{token}"))),
             queue_depth: reg.gauge("serve.queue_depth"),
             in_flight_bytes: reg.gauge("serve.in_flight_bytes"),
             breaker_level: reg.gauge("serve.breaker_level"),
@@ -252,28 +284,11 @@ fn breaker_gauge_value(level: BreakerLevel) -> f64 {
     }
 }
 
-#[derive(Default)]
-struct Counters {
-    submitted: AtomicU64,
-    completed: AtomicU64,
-    deadline_exceeded: AtomicU64,
-    failed: AtomicU64,
-    recovered_runs: AtomicU64,
-    tier_completed: [AtomicU64; 3],
-    rej_queue_full: AtomicU64,
-    rej_byte_budget: AtomicU64,
-    rej_pool: AtomicU64,
-    rej_breaker: AtomicU64,
-    rej_shutdown: AtomicU64,
-    rej_retry_budget: AtomicU64,
-}
-
 struct Shared {
     queue: Mutex<QueueState>,
     available: Condvar,
     breaker: Breaker,
     pool: BufferPool<Complex64>,
-    counters: Counters,
     /// Sharded plan cache (DESIGN.md §10): default-knob requests are
     /// tuned once per shape, explicit-knob requests are pinned
     /// variants; either way repeated shapes skip plan construction.
@@ -282,8 +297,8 @@ struct Shared {
     integrity: IntegrityConfig,
     verify_energy: bool,
     trace: Option<Arc<TraceCollector>>,
-    metrics: Option<Arc<Registry>>,
-    inst: Option<Instruments>,
+    metrics: Arc<Registry>,
+    inst: Instruments,
     flight: Option<Arc<FlightRecorder>>,
     next_request_id: AtomicU64,
     byte_budget: Option<usize>,
@@ -292,15 +307,23 @@ struct Shared {
     default_deadline: Option<Duration>,
 }
 
-fn lock_tolerant<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
-}
-
 fn tier_index(tier: RecoveryTier) -> usize {
     match tier {
         RecoveryTier::Pipelined => 0,
         RecoveryTier::Fused => 1,
         RecoveryTier::Reference => 2,
+    }
+}
+
+/// Position of `reason` in [`RejectCounts::by_reason`].
+fn reject_index(reason: &RejectReason) -> usize {
+    match reason {
+        RejectReason::QueueFull { .. } => 0,
+        RejectReason::ByteBudget(_) => 1,
+        RejectReason::PoolExhausted(_) => 2,
+        RejectReason::BreakerOpen => 3,
+        RejectReason::ShuttingDown => 4,
+        RejectReason::RetryBudget { .. } => 5,
     }
 }
 
@@ -314,6 +337,7 @@ impl FftServer {
     /// Starts the worker threads and returns the running server.
     pub fn start(cfg: ServeConfig) -> FftServer {
         let pool_cap = cfg.pool_cap_bytes.or(cfg.byte_budget);
+        let metrics = cfg.metrics.unwrap_or_default();
         let shared = Arc::new(Shared {
             queue: Mutex::new(QueueState {
                 queue: VecDeque::new(),
@@ -323,8 +347,7 @@ impl FftServer {
             available: Condvar::new(),
             breaker: Breaker::new(cfg.breaker),
             pool: BufferPool::new(pool_cap),
-            counters: Counters::default(),
-            plan_cache: PlanCache::new(
+            plan_cache: PlanCache::with_registry(
                 Tuner::new(TunerOptions {
                     // Model-only: admission must never spend time on
                     // measurement reps; the analytic model picks knobs.
@@ -332,13 +355,14 @@ impl FftServer {
                     ..TunerOptions::for_host(&HostProfile::detect())
                 }),
                 HostFingerprint::detect(),
+                &metrics,
             ),
             supervisor: Supervisor::new(cfg.retry),
             integrity: cfg.integrity,
             verify_energy: cfg.verify_energy,
             trace: cfg.trace,
-            inst: cfg.metrics.as_deref().map(Instruments::new),
-            metrics: cfg.metrics,
+            inst: Instruments::new(&metrics),
+            metrics,
             flight: cfg.flight,
             next_request_id: AtomicU64::new(0),
             byte_budget: cfg.byte_budget,
@@ -373,11 +397,12 @@ impl FftServer {
             });
         }
         let shared = &self.shared;
-        let plan_t0 = shared.inst.as_ref().map(|_| Instant::now());
+        let plan_t0 = Instant::now();
         let plan = self.plan_for(&req)?;
-        if let (Some(inst), Some(t0)) = (shared.inst.as_ref(), plan_t0) {
-            inst.plan_resolve_ns.record_duration(t0.elapsed());
-        }
+        shared
+            .inst
+            .plan_resolve_ns
+            .record_duration(plan_t0.elapsed());
 
         // Retry-budget ceiling: a per-request policy override must not
         // buy more recovery work than the server is willing to sell.
@@ -456,12 +481,9 @@ impl FftServer {
             cell,
         });
         q.in_flight_bytes += bytes;
-        shared.counters.submitted.fetch_add(1, Ordering::Relaxed);
-        if let Some(inst) = shared.inst.as_ref() {
-            inst.submitted.inc();
-            inst.queue_depth.set(q.queue.len() as f64);
-            inst.in_flight_bytes.set(q.in_flight_bytes as f64);
-        }
+        shared.inst.submitted.inc();
+        shared.inst.queue_depth.set(q.queue.len() as f64);
+        shared.inst.in_flight_bytes.set(q.in_flight_bytes as f64);
         drop(q);
         shared.available.notify_one();
         Ok(ticket)
@@ -482,76 +504,63 @@ impl FftServer {
         if let Some(trace) = self.shared.trace.as_ref() {
             trace.mark(MarkKind::Serve, "drain complete", None);
         }
-        self.snapshot()
+        self.stats()
     }
 
-    /// Point-in-time counters. Accounting (`holds`) is only expected to
-    /// balance after [`shutdown`](Self::shutdown).
-    pub fn snapshot(&self) -> ServeReport {
-        let c = &self.shared.counters;
-        let load = |a: &AtomicU64| a.load(Ordering::Relaxed);
-        ServeReport {
-            submitted: load(&c.submitted),
-            completed: load(&c.completed),
-            deadline_exceeded: load(&c.deadline_exceeded),
-            failed: load(&c.failed),
-            recovered_runs: load(&c.recovered_runs),
-            rejected: RejectCounts {
-                queue_full: load(&c.rej_queue_full),
-                byte_budget: load(&c.rej_byte_budget),
-                pool_exhausted: load(&c.rej_pool),
-                breaker_open: load(&c.rej_breaker),
-                shutting_down: load(&c.rej_shutdown),
-                retry_budget: load(&c.rej_retry_budget),
-            },
-            tier_completed: [
-                load(&c.tier_completed[0]),
-                load(&c.tier_completed[1]),
-                load(&c.tier_completed[2]),
-            ],
-            breaker_level: self.shared.breaker.level(),
-            breaker_transitions: self.shared.breaker.transitions(),
-            pool: self.shared.pool.stats(),
-            plan_cache: self.shared.plan_cache.stats(),
-        }
-    }
-
-    /// The metrics scrape source: a mid-flight [`ServeReport`] snapshot
-    /// (identical to [`snapshot`](Self::snapshot) — drain accounting is
-    /// untouched and `holds()` is still only meaningful after
-    /// [`shutdown`](Self::shutdown)) that *also* refreshes the
-    /// registry's externally accumulated state: plan-cache and
-    /// buffer-pool counters, queue/byte/breaker gauges, and the pool
-    /// hit rate. Callers exporting `bwfft-metrics/1` call `stats()`
-    /// then `Registry::snapshot()`, so a scrape is always coherent with
-    /// the report it rode in on.
+    /// The service's counters so far, read from its registry. Drain
+    /// accounting (`holds`) is only expected to balance after
+    /// [`shutdown`](Self::shutdown). Also re-syncs the one state the
+    /// registry does not count itself — the buffer pool's totals — and
+    /// refreshes the queue, byte, breaker and pool-hit-rate gauges, so
+    /// a `Registry::snapshot()` taken next agrees with this report.
     pub fn stats(&self) -> ServeReport {
-        let report = self.snapshot();
-        if let Some(reg) = self.shared.metrics.as_ref() {
-            report.plan_cache.record_into(reg);
-            reg.set_counter("serve.pool.hits", report.pool.hits);
-            reg.set_counter("serve.pool.misses", report.pool.misses);
-            reg.set_counter("serve.pool.exhausted", report.pool.exhausted);
-            reg.set_gauge("serve.pool.idle_bytes", report.pool.idle_bytes as f64);
-            reg.set_gauge(
-                "serve.pool.outstanding_bytes",
-                report.pool.outstanding_bytes as f64,
-            );
-            if let Some(inst) = self.shared.inst.as_ref() {
-                let acquires = report.pool.hits + report.pool.misses;
-                inst.pool_hit_rate.set(if acquires == 0 {
-                    0.0
-                } else {
-                    report.pool.hits as f64 / acquires as f64
-                });
-                inst.breaker_level
-                    .set(breaker_gauge_value(report.breaker_level));
-                let q = lock_tolerant(&self.shared.queue);
-                inst.queue_depth.set(q.queue.len() as f64);
-                inst.in_flight_bytes.set(q.in_flight_bytes as f64);
-            }
+        let shared = &self.shared;
+        let inst = &shared.inst;
+        let pool = shared.pool.stats();
+        let breaker_level = shared.breaker.level();
+        let reg = &shared.metrics;
+        reg.set_counter("serve.pool.hits", pool.hits);
+        reg.set_counter("serve.pool.misses", pool.misses);
+        reg.set_counter("serve.pool.exhausted", pool.exhausted);
+        reg.set_gauge("serve.pool.idle_bytes", pool.idle_bytes as f64);
+        reg.set_gauge(
+            "serve.pool.outstanding_bytes",
+            pool.outstanding_bytes as f64,
+        );
+        let acquires = pool.hits + pool.misses;
+        inst.pool_hit_rate.set(if acquires == 0 {
+            0.0
+        } else {
+            pool.hits as f64 / acquires as f64
+        });
+        inst.breaker_level.set(breaker_gauge_value(breaker_level));
+        {
+            let q = lock_tolerant(&shared.queue);
+            inst.queue_depth.set(q.queue.len() as f64);
+            inst.in_flight_bytes.set(q.in_flight_bytes as f64);
         }
-        report
+        let [queue_full, byte_budget, pool_exhausted, breaker_open, shutting_down, retry_budget] =
+            inst.rejected_by.each_ref().map(Counter::get);
+        ServeReport {
+            submitted: inst.submitted.get(),
+            completed: inst.completed.get(),
+            deadline_exceeded: inst.deadline_exceeded.get(),
+            failed: inst.failed.get(),
+            recovered_runs: inst.recovered_runs.get(),
+            rejected: RejectCounts {
+                queue_full,
+                byte_budget,
+                pool_exhausted,
+                breaker_open,
+                shutting_down,
+                retry_budget,
+            },
+            tier_completed: inst.tier_completed.each_ref().map(Counter::get),
+            breaker_level,
+            breaker_transitions: shared.breaker.transitions(),
+            pool,
+            plan_cache: shared.plan_cache.stats(),
+        }
     }
 
     /// Queued (not yet executing) requests.
@@ -601,19 +610,9 @@ impl FftServer {
     }
 
     fn reject(&self, reason: RejectReason) -> ServeError {
-        let c = &self.shared.counters;
-        let counter = match reason {
-            RejectReason::QueueFull { .. } => &c.rej_queue_full,
-            RejectReason::ByteBudget(_) => &c.rej_byte_budget,
-            RejectReason::PoolExhausted(_) => &c.rej_pool,
-            RejectReason::BreakerOpen => &c.rej_breaker,
-            RejectReason::ShuttingDown => &c.rej_shutdown,
-            RejectReason::RetryBudget { .. } => &c.rej_retry_budget,
-        };
-        counter.fetch_add(1, Ordering::Relaxed);
-        if let Some(inst) = self.shared.inst.as_ref() {
-            inst.rejected.inc();
-        }
+        let inst = &self.shared.inst;
+        inst.rejected_by[reject_index(&reason)].inc();
+        inst.rejected.inc();
         if let Some(trace) = self.shared.trace.as_ref() {
             trace.mark(MarkKind::Serve, format!("reject: {reason}"), None);
         }
@@ -708,9 +707,8 @@ fn execute_request(shared: &Arc<Shared>, req: QueuedRequest) {
         verify_energy,
     };
 
-    if let Some(inst) = shared.inst.as_ref() {
-        inst.queue_wait_ns.record_duration(submitted_at.elapsed());
-    }
+    let inst = &shared.inst;
+    inst.queue_wait_ns.record_duration(submitted_at.elapsed());
     // With the flight recorder armed each request gets its own span
     // sink, so the recorder can keep whole per-request span trees; the
     // shared profile collector still receives every mark.
@@ -719,7 +717,7 @@ fn execute_request(shared: &Arc<Shared>, req: QueuedRequest) {
         .as_ref()
         .map(|_| Arc::new(TraceCollector::new()));
     let flight_start_ns = shared.flight.as_ref().map(|f| f.now_ns());
-    let exec_t0 = shared.inst.as_ref().map(|_| Instant::now());
+    let exec_t0 = Instant::now();
 
     let trace = flight_trace.clone().or_else(|| shared.trace.clone());
     let verdict = run_at_tier(
@@ -737,13 +735,12 @@ fn execute_request(shared: &Arc<Shared>, req: QueuedRequest) {
     };
 
     let ok = verdict.is_ok();
-    let c = &shared.counters;
     let outcome = match verdict {
         Ok((tier, recovered)) => {
-            c.completed.fetch_add(1, Ordering::Relaxed);
-            c.tier_completed[tier_index(tier)].fetch_add(1, Ordering::Relaxed);
+            inst.completed.inc();
+            inst.tier_completed[tier_index(tier)].inc();
             if recovered {
-                c.recovered_runs.fetch_add(1, Ordering::Relaxed);
+                inst.recovered_runs.inc();
             }
             result.copy_from_slice(data.as_slice());
             RequestOutcome::Completed {
@@ -757,44 +754,30 @@ fn execute_request(shared: &Arc<Shared>, req: QueuedRequest) {
             reason: CancelReason::Deadline,
             ..
         })) => {
-            c.deadline_exceeded.fetch_add(1, Ordering::Relaxed);
+            inst.deadline_exceeded.inc();
             RequestOutcome::DeadlineExceeded { latency }
         }
         Err(error) => {
-            c.failed.fetch_add(1, Ordering::Relaxed);
+            inst.failed.inc();
             RequestOutcome::Failed { error, latency }
         }
     };
     let transition = breaker_feedback(shared, ok);
 
-    if let Some(inst) = shared.inst.as_ref() {
-        if let Some(t0) = exec_t0 {
-            let exec = t0.elapsed();
-            inst.execute_ns.record_duration(exec);
-            if matches!(
-                outcome,
-                RequestOutcome::Completed {
-                    recovered: true,
-                    ..
-                }
-            ) {
-                inst.recovery_ns.record_duration(exec);
-            }
+    let exec = exec_t0.elapsed();
+    inst.execute_ns.record_duration(exec);
+    if matches!(
+        outcome,
+        RequestOutcome::Completed {
+            recovered: true,
+            ..
         }
-        inst.request_ns.record_duration(latency);
-        match &outcome {
-            RequestOutcome::Completed { recovered, .. } => {
-                inst.completed.inc();
-                if *recovered {
-                    inst.recovered_runs.inc();
-                }
-            }
-            RequestOutcome::DeadlineExceeded { .. } => inst.deadline_exceeded.inc(),
-            RequestOutcome::Failed { .. } => inst.failed.inc(),
-        }
-        inst.breaker_level
-            .set(breaker_gauge_value(shared.breaker.level()));
+    ) {
+        inst.recovery_ns.record_duration(exec);
     }
+    inst.request_ns.record_duration(latency);
+    inst.breaker_level
+        .set(breaker_gauge_value(shared.breaker.level()));
 
     if let (Some(flight), Some(start_ns)) = (shared.flight.as_ref(), flight_start_ns) {
         let events = flight_trace
@@ -839,10 +822,8 @@ fn execute_request(shared: &Arc<Shared>, req: QueuedRequest) {
     {
         let mut q = lock_tolerant(&shared.queue);
         q.in_flight_bytes -= bytes;
-        if let Some(inst) = shared.inst.as_ref() {
-            inst.queue_depth.set(q.queue.len() as f64);
-            inst.in_flight_bytes.set(q.in_flight_bytes as f64);
-        }
+        inst.queue_depth.set(q.queue.len() as f64);
+        inst.in_flight_bytes.set(q.in_flight_bytes as f64);
     }
     cell.deliver(outcome);
 }
@@ -882,7 +863,7 @@ fn run_at_tier(
             let cfg = ExecConfig {
                 fault: fault.clone(),
                 trace,
-                metrics: shared.metrics.clone(),
+                metrics: Some(Arc::clone(&shared.metrics)),
                 integrity: overrides.integrity.unwrap_or(shared.integrity),
                 verify_energy: overrides.verify_energy.unwrap_or(shared.verify_energy),
                 cancel: Some(token.clone()),
@@ -968,9 +949,11 @@ mod tests {
                 }
             }
         }
+        // No registry configured: the server counts into a private one.
         let report = server.shutdown();
         assert!(report.holds(), "{report:?}");
         assert_eq!(report.completed, 8);
+        assert_eq!(report.tier_completed, [8, 0, 0]);
         assert_eq!(report.rejected.total(), 0);
         // Steady state reuses pooled buffers: 8 requests, far fewer
         // allocations than acquires.
@@ -988,7 +971,7 @@ mod tests {
         let tickets: Vec<Ticket> = (0..3)
             .map(|s| server.submit(request(s)).unwrap())
             .collect();
-        let stats = server.snapshot().plan_cache;
+        let stats = server.stats().plan_cache;
         assert_eq!((stats.hits, stats.misses), (2, 1), "{stats:?}");
         // Default knobs route through the tuner under a separate
         // (non-aliasing) tuned entry: one more miss, then a hit.
@@ -1221,6 +1204,7 @@ mod tests {
 
     #[test]
     fn breaker_trips_to_open_probes_and_recovers_deterministically() {
+        let reg = Arc::new(Registry::new());
         let mut server = FftServer::start(ServeConfig {
             workers: 1,
             breaker: BreakerConfig {
@@ -1228,6 +1212,7 @@ mod tests {
                 success_threshold: 2,
                 probe_interval: 3,
             },
+            metrics: Some(Arc::clone(&reg)),
             ..ServeConfig::default()
         });
         // Six deadline misses walk the breaker Normal -> Fused ->
@@ -1282,12 +1267,18 @@ mod tests {
             ]
         );
         assert_eq!(report.rejected.breaker_open, 2);
+        // The probe and the two requests after it finish on the
+        // reference tier, the last two on fused.
+        assert_eq!(report.tier_completed, [0, 2, 3]);
+        assert_report_matches_registry(&report, &reg);
     }
 
     #[test]
     fn shutdown_rejects_new_work_and_drains_queued_requests() {
+        let reg = Arc::new(Registry::new());
         let mut server = FftServer::start(ServeConfig {
             workers: 0,
+            metrics: Some(Arc::clone(&reg)),
             ..ServeConfig::default()
         });
         let tickets: Vec<Ticket> =
@@ -1308,6 +1299,7 @@ mod tests {
         let again = server.shutdown();
         assert_eq!(again.completed, 3);
         assert_eq!(again.rejected.shutting_down, 1);
+        assert_report_matches_registry(&again, &reg);
     }
 
     #[test]
@@ -1347,27 +1339,34 @@ mod tests {
         let reg = Arc::new(Registry::new());
         let mut server = FftServer::start(ServeConfig {
             workers: 1,
+            retry_ceiling: Some(1),
             metrics: Some(Arc::clone(&reg)),
             ..ServeConfig::default()
         });
+        // Registered at start: the first scrape already lists them.
+        let first = reg.snapshot().counters;
+        assert_eq!(first.get("tuner.plan_cache.misses"), Some(&0));
+        assert_eq!(first.get("serve.rejected.retry_budget"), Some(&0));
         for seed in 0..3 {
             let t = server.submit(request(seed)).unwrap();
             assert!(matches!(t.wait(), RequestOutcome::Completed { .. }));
         }
-        // stats() is the scrape source: it syncs pool/plan-cache
-        // counters and gauges into the registry mid-flight.
+        let greedy = RetryPolicy {
+            max_attempts: 2,
+            ..RetryPolicy::default()
+        };
+        assert!(server.submit(request(3).retry(greedy)).is_err());
+        // No stats() call: outcome, rejection and plan-cache counters
+        // are live (the rejected request resolved its plan too).
+        let c = reg.snapshot().counters;
+        assert_eq!((c["serve.submitted"], c["serve.completed"]), (3, 3));
+        assert_eq!((c["serve.rejected"], c["serve.rejected.retry_budget"]), (1, 1));
+        assert_eq!(c["tuner.plan_cache.misses"], 1, "{c:?}");
+        assert_eq!(c["tuner.plan_cache.hits"], 3, "{c:?}");
+        // stats() re-syncs the buffer-pool totals and the gauges.
         let live = server.stats();
         assert!(live.holds(), "{live:?}");
         let snap = reg.snapshot();
-        assert_eq!(snap.counters.get("serve.submitted"), Some(&3));
-        assert_eq!(snap.counters.get("serve.completed"), Some(&3));
-        assert_eq!(snap.counters.get("serve.rejected"), Some(&0));
-        assert_eq!(
-            snap.counters.get("tuner.plan_cache.misses"),
-            Some(&1),
-            "{:?}",
-            snap.counters
-        );
         for h in [
             "serve.request_ns",
             "serve.queue_wait_ns",
@@ -1375,7 +1374,8 @@ mod tests {
             "serve.execute_ns",
         ] {
             let hist = snap.histograms.get(h).unwrap_or_else(|| panic!("{h}"));
-            assert_eq!(hist.count, 3, "{h}: {hist:?}");
+            let resolved = if h == "serve.plan_resolve_ns" { 4 } else { 3 };
+            assert_eq!(hist.count, resolved, "{h}: {hist:?}");
             assert!(hist.quantile(0.99) >= Some(hist.min), "{h}");
         }
         // All three succeeded on the normal tier with pooled reuse.
@@ -1384,6 +1384,37 @@ mod tests {
         assert_eq!(snap.gauges.get("serve.queue_depth"), Some(&0.0));
         let report = server.shutdown();
         assert!(report.holds(), "{report:?}");
+        assert_report_matches_registry(&report, &reg);
+    }
+
+    /// Every `ServeReport` field against its registry counter.
+    fn assert_report_matches_registry(report: &ServeReport, reg: &Registry) {
+        let c = reg.snapshot().counters;
+        let counter = |name: &str| *c.get(name).unwrap_or_else(|| panic!("{name} missing"));
+        assert_eq!(report.submitted, counter("serve.submitted"));
+        assert_eq!(report.completed, counter("serve.completed"));
+        assert_eq!(report.deadline_exceeded, counter("serve.deadline_exceeded"));
+        assert_eq!(report.failed, counter("serve.failed"));
+        assert_eq!(report.recovered_runs, counter("serve.recovered_runs"));
+        assert_eq!(report.rejected.total(), counter("serve.rejected"));
+        for (token, n) in report.rejected.by_reason() {
+            assert_eq!(n, counter(&format!("serve.rejected.{token}")), "{token}");
+        }
+        for (tier, n) in ["pipelined", "fused", "reference"]
+            .iter()
+            .zip(report.tier_completed)
+        {
+            assert_eq!(n, counter(&format!("serve.completed.{tier}")), "{tier}");
+        }
+        assert_eq!(report.plan_cache.hits, counter("tuner.plan_cache.hits"));
+        assert_eq!(report.plan_cache.misses, counter("tuner.plan_cache.misses"));
+        assert_eq!(
+            report.plan_cache.evictions,
+            counter("tuner.plan_cache.evictions")
+        );
+        assert_eq!(report.pool.hits, counter("serve.pool.hits"));
+        assert_eq!(report.pool.misses, counter("serve.pool.misses"));
+        assert_eq!(report.pool.exhausted, counter("serve.pool.exhausted"));
     }
 
     #[test]

@@ -88,7 +88,7 @@ proptest! {
             prop_assert!(server.in_flight_bytes() <= budget);
             prop_assert!(server.queue_depth() <= capacity);
         }
-        let snap = server.snapshot();
+        let snap = server.stats();
         prop_assert_eq!(snap.submitted, submitted);
         prop_assert_eq!(snap.rejected.total(), rejected);
     }

@@ -18,11 +18,13 @@ use crate::fingerprint::HostFingerprint;
 use crate::search::{Tuner, TuningRecord};
 use bwfft_core::{Dims, FftPlan};
 use bwfft_kernels::Direction;
+use bwfft_metrics::{Counter, Registry};
+use bwfft_num::lock_tolerant;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Default shard count (power of two so the hash folds evenly).
 pub const SHARDS: usize = 8;
@@ -54,23 +56,13 @@ pub struct PlanKey {
     pub variant: Option<PlanVariant>,
 }
 
-/// Counter snapshot from [`PlanCache::stats`].
+/// A read of the cache's `tuner.plan_cache.*` registry counters, from
+/// [`PlanCache::stats`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheStats {
     pub hits: u64,
     pub misses: u64,
     pub evictions: u64,
-}
-
-impl CacheStats {
-    /// Mirrors this snapshot into a metrics registry as the
-    /// `tuner.plan_cache.*` counters. The cache's own atomics stay the
-    /// source of truth; scrapers call this to sync before a snapshot.
-    pub fn record_into(&self, reg: &bwfft_metrics::Registry) {
-        reg.set_counter("tuner.plan_cache.hits", self.hits);
-        reg.set_counter("tuner.plan_cache.misses", self.misses);
-        reg.set_counter("tuner.plan_cache.evictions", self.evictions);
-    }
 }
 
 struct Entry {
@@ -85,33 +77,41 @@ struct Entry {
 type Shard = Mutex<HashMap<PlanKey, Entry>>;
 
 /// Sharded, lock-protected map from `(Dims, Direction, fingerprint)`
-/// to tuned plans, with hit/miss/eviction counters and an embedded
-/// [`Tuner`] to fill misses.
+/// to tuned plans, with an embedded [`Tuner`] to fill misses. Hits,
+/// misses and evictions are counted only in the `tuner.plan_cache.*`
+/// counters of the registry the cache was built on.
 pub struct PlanCache {
     shards: Vec<Shard>,
     capacity_per_shard: usize,
     tuner: Tuner,
     fingerprint: HostFingerprint,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
+    hits: Counter,
+    misses: Counter,
+    evictions: Counter,
     clock: AtomicU64,
 }
 
 impl PlanCache {
     /// A cache with the default geometry ([`SHARDS`] ×
-    /// [`CAPACITY_PER_SHARD`]).
+    /// [`CAPACITY_PER_SHARD`]) counting into a private registry.
     pub fn new(tuner: Tuner, fingerprint: HostFingerprint) -> Self {
-        Self::with_geometry(tuner, fingerprint, SHARDS, CAPACITY_PER_SHARD)
+        Self::with_registry(tuner, fingerprint, &Registry::new())
+    }
+
+    /// A default-geometry cache counting into `registry`, so a scrape
+    /// of that registry sees live hit/miss/eviction totals.
+    pub fn with_registry(tuner: Tuner, fingerprint: HostFingerprint, registry: &Registry) -> Self {
+        Self::with_geometry(tuner, fingerprint, SHARDS, CAPACITY_PER_SHARD, registry)
     }
 
     /// Explicit shard count and per-shard capacity (both clamped to at
-    /// least 1).
+    /// least 1), counting into `registry`.
     pub fn with_geometry(
         tuner: Tuner,
         fingerprint: HostFingerprint,
         shards: usize,
         capacity_per_shard: usize,
+        registry: &Registry,
     ) -> Self {
         let shards = shards.max(1);
         PlanCache {
@@ -119,9 +119,9 @@ impl PlanCache {
             capacity_per_shard: capacity_per_shard.max(1),
             tuner,
             fingerprint,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
+            hits: registry.counter("tuner.plan_cache.hits"),
+            misses: registry.counter("tuner.plan_cache.misses"),
+            evictions: registry.counter("tuner.plan_cache.evictions"),
             clock: AtomicU64::new(0),
         }
     }
@@ -151,7 +151,7 @@ impl PlanCache {
         let idx = (h.finish() as usize) % self.shards.len();
         // A poisoned shard only means another thread panicked while
         // holding the lock; the map itself is still usable.
-        self.shards[idx].lock().unwrap_or_else(PoisonError::into_inner)
+        lock_tolerant(&self.shards[idx])
     }
 
     fn tick(&self) -> u64 {
@@ -168,10 +168,10 @@ impl PlanCache {
         let stamp = self.tick();
         if let Some(entry) = map.get_mut(&key) {
             entry.last_used = stamp;
-            self.hits.fetch_add(1, Ordering::Relaxed);
+            self.hits.inc();
             return Ok(Arc::clone(&entry.plan));
         }
-        self.misses.fetch_add(1, Ordering::Relaxed);
+        self.misses.inc();
         let record = self.tuner.tune(dims, dir)?;
         let plan = Arc::new(record.build_plan()?);
         Self::evict_if_full(&mut map, self.capacity_per_shard, &self.evictions);
@@ -208,10 +208,10 @@ impl PlanCache {
         let stamp = self.tick();
         if let Some(entry) = map.get_mut(&key) {
             entry.last_used = stamp;
-            self.hits.fetch_add(1, Ordering::Relaxed);
+            self.hits.inc();
             return Ok(Arc::clone(&entry.plan));
         }
-        self.misses.fetch_add(1, Ordering::Relaxed);
+        self.misses.inc();
         let plan = Arc::new(build()?);
         Self::evict_if_full(&mut map, self.capacity_per_shard, &self.evictions);
         map.insert(
@@ -233,11 +233,11 @@ impl PlanCache {
         match map.get_mut(&key) {
             Some(entry) => {
                 entry.last_used = stamp;
-                self.hits.fetch_add(1, Ordering::Relaxed);
+                self.hits.inc();
                 Some(Arc::clone(&entry.plan))
             }
             None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
+                self.misses.inc();
                 None
             }
         }
@@ -276,7 +276,7 @@ impl PlanCache {
     pub fn export_records(&self) -> Vec<TuningRecord> {
         let mut out: Vec<TuningRecord> = Vec::new();
         for shard in &self.shards {
-            let map = shard.lock().unwrap_or_else(PoisonError::into_inner);
+            let map = lock_tolerant(shard);
             out.extend(map.values().filter_map(|e| e.record.clone()));
         }
         out.sort_by(|a, b| {
@@ -288,30 +288,23 @@ impl PlanCache {
 
     /// Cached entry count across all shards.
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().unwrap_or_else(PoisonError::into_inner).len())
-            .sum()
+        self.shards.iter().map(|s| lock_tolerant(s).len()).sum()
     }
 
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
-    /// Counter snapshot.
+    /// Reads the cache's registry counters.
     pub fn stats(&self) -> CacheStats {
         CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
+            hits: self.hits.get(),
+            misses: self.misses.get(),
+            evictions: self.evictions.get(),
         }
     }
 
-    fn evict_if_full(
-        map: &mut HashMap<PlanKey, Entry>,
-        capacity: usize,
-        evictions: &AtomicU64,
-    ) {
+    fn evict_if_full(map: &mut HashMap<PlanKey, Entry>, capacity: usize, evictions: &Counter) {
         if map.len() < capacity {
             return;
         }
@@ -322,7 +315,7 @@ impl PlanCache {
             .map(|(k, _)| k.clone())
         {
             map.remove(&victim);
-            evictions.fetch_add(1, Ordering::Relaxed);
+            evictions.inc();
         }
     }
 }
@@ -341,12 +334,15 @@ mod tests {
         }
     }
 
-    fn model_cache() -> PlanCache {
-        let tuner = Tuner::new(TunerOptions {
+    fn model_tuner() -> Tuner {
+        Tuner::new(TunerOptions {
             model_only: true,
             ..TunerOptions::for_model(presets::kaby_lake_7700k())
-        });
-        PlanCache::new(tuner, fp())
+        })
+    }
+
+    fn model_cache() -> PlanCache {
+        PlanCache::new(model_tuner(), fp())
     }
 
     #[test]
@@ -394,12 +390,8 @@ mod tests {
 
     #[test]
     fn eviction_is_counted_and_bounded() {
-        let tuner = Tuner::new(TunerOptions {
-            model_only: true,
-            ..TunerOptions::for_model(presets::kaby_lake_7700k())
-        });
         // One shard, one slot: the second insert evicts the first.
-        let cache = PlanCache::with_geometry(tuner, fp(), 1, 1);
+        let cache = PlanCache::with_geometry(model_tuner(), fp(), 1, 1, &Registry::new());
         cache.get_or_tune(Dims::d2(64, 64), Direction::Forward).unwrap();
         cache.get_or_tune(Dims::d2(32, 32), Direction::Forward).unwrap();
         assert_eq!(cache.len(), 1);

@@ -277,6 +277,12 @@ snap = json.load(sys.stdin)
 assert snap["schema"] == "bwfft-metrics/1", snap["schema"]
 c = snap["counters"]
 assert c["serve.submitted"] == 12 and c["serve.completed"] == 12, c
+# Balanced accounting straight from the registry: it is the only place
+# the server counts outcomes and rejections.
+outcomes = c["serve.completed"] + c["serve.deadline_exceeded"] + c["serve.failed"]
+assert c["serve.submitted"] == outcomes, c
+by_reason = [v for k, v in c.items() if k.startswith("serve.rejected.")]
+assert len(by_reason) == 6 and sum(by_reason) == c["serve.rejected"], c
 h = snap["histograms"]["serve.request_ns"]
 assert h["count"] == 12 and h["min"] <= h["max"], h
 assert sum(n for _, n in h["buckets"]) == h["count"], h
@@ -286,6 +292,16 @@ print("serve --metrics=json: OK")
 # fed the raw transcripts (it reads the last parseable JSON line).
 grep '"schema":"bwfft-metrics/1"' "$benchdir/serve_metrics.out" | head -n 1 \
   > "$benchdir/stat_from.json"
+# The plan cache counts into the server's registry, so its counters are
+# live from the first periodic scrape, not synced in at the drain.
+python3 -c '
+import json, sys
+
+c = json.load(open(sys.argv[1]))["counters"]
+assert "tuner.plan_cache.misses" in c, sorted(c)
+print("first periodic snapshot carries tuner.plan_cache.misses: OK")
+' "$benchdir/stat_from.json" \
+  || { echo "metrics smoke FAILED: first snapshot lacks plan-cache counters"; exit 1; }
 tail -n 1 "$benchdir/serve_metrics.out" > "$benchdir/stat_to.json"
 stat_out="$(cargo run -q --bin bwfft-cli -- stat \
   --from "$benchdir/stat_from.json" --to "$benchdir/stat_to.json")"

@@ -114,8 +114,8 @@
 //! requests/sec, p50/p99 and the outcome counts; `--compare` then
 //! gates the p99 tail exactly like medians.
 //!
-//! `serve --metrics` arms the live registry and the flight recorder:
-//! Prometheus text (or, with `--metrics=json`, one-line
+//! The server always counts into a registry; `serve --metrics` only
+//! selects export, and arms the flight recorder: Prometheus text (or, with `--metrics=json`, one-line
 //! `bwfft-metrics/1` JSON as stdout's **last line**) is emitted at the
 //! end of the run, every `--metrics-every-ms` milliseconds while it is
 //! running, and any `bwfft-flight/1` dumps the recorder captured
@@ -714,8 +714,8 @@ fn cmd_serve(opts: &HashMap<String, String>) -> Result<(), CliError> {
         },
     );
     // Periodic sink: a scraper thread prints live registry snapshots
-    // while the open-loop schedule runs. Pool/plan-cache counters sync
-    // on the pre-drain scrape; everything else updates live.
+    // while the open-loop schedule runs. Every serve and plan-cache
+    // counter is live; only the buffer-pool totals wait for the drain.
     let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
     let sink = match (&registry, every_ms) {
         (Some(reg), Some(ms)) => {
@@ -750,11 +750,12 @@ fn cmd_serve(opts: &HashMap<String, String>) -> Result<(), CliError> {
     );
     let rj = &rep.rejected;
     if rj.total() > 0 {
-        println!(
-            "  shed by reason: queue_full {}, byte_budget {}, pool_exhausted {}, \
-             breaker_open {}, shutting_down {}",
-            rj.queue_full, rj.byte_budget, rj.pool_exhausted, rj.breaker_open, rj.shutting_down
-        );
+        let reasons: Vec<String> = rj
+            .by_reason()
+            .iter()
+            .map(|(token, n)| format!("{token} {n}"))
+            .collect();
+        println!("  shed by reason: {}", reasons.join(", "));
     }
     println!(
         "tiers: pipelined {}, fused {}, reference {}; breaker ended {:?} \
@@ -2334,7 +2335,6 @@ mod tests {
         let data = bwfft::num::signal::random_complex(dims.total(), 7);
         let t = server.submit(FftRequest::new(dims, data)).unwrap();
         let _ = t.wait();
-        let _ = server.stats();
         server.shutdown();
         let snap = reg.snapshot();
         assert_eq!(snap.counters.get("serve.completed"), Some(&1));
