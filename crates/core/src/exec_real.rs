@@ -5,11 +5,13 @@
 //! (non-temporal stores through the stage's write matrix), compute
 //! threads run batched Stockham kernels in place. Stages ping-pong
 //! between the caller's `data` and `work` arrays; the final result is
-//! copied back into `data` when the stage count is odd.
+//! copied back into `data` when the stage count is odd. One builder
+//! (`stage_callbacks`) makes each stage's tasks; the fused executor
+//! runs the same tasks with one thread per role on the fused schedule.
 
 use crate::error::CoreError;
 use crate::host::{DegradationReason, ExecutorKind};
-use crate::plan::{FftPlan, StageSpec};
+use crate::plan::FftPlan;
 use bwfft_kernels::batch::BatchFft;
 use bwfft_kernels::transpose::{
     load_contiguous, store_through_write_matrix, write_matrix_packets,
@@ -18,14 +20,14 @@ use bwfft_num::{check_alloc_budget, try_vec_zeroed, Complex64};
 use bwfft_pipeline::buffer::partition;
 use bwfft_pipeline::exec::{
     ComputeFn, LoadFn, PipelineCallbacks, PipelineConfig, PipelineReport, StoreFn,
-    INJECTED_FAULT_PREFIX,
 };
 use bwfft_pipeline::{
-    run_pipeline, AdaptiveWatchdog, CancelToken, DoubleBuffer, FaultPlan, IntegrityConfig,
-    IntegrityKind, PinStatus, PipelineError,
+    run_fused, run_pipeline, AdaptiveWatchdog, CancelToken, DoubleBuffer, FaultPlan,
+    IntegrityConfig, IntegrityKind, PinStatus, PipelineError,
 };
-use bwfft_spl::gather_scatter::WriteMatrix;
-use bwfft_trace::{MarkKind, Phase, ThreadTracer, TraceCollector, TraceRole};
+use bwfft_spl::gather_scatter::{StagePerm, WriteMatrix};
+use bwfft_trace::{MarkKind, TraceCollector};
+use core::marker::PhantomData;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -85,22 +87,99 @@ pub struct ExecReport {
 
 /// A raw shared view of the stage's destination array. Store callbacks
 /// on different data threads write disjoint packet ranges; the schedule
-/// and the injectivity of the write permutation make that sound.
-struct SharedDst {
+/// and the injectivity of the write permutation make that sound. The
+/// view holds the array's unique borrow for its lifetime.
+pub(crate) struct SharedDst<'a> {
     ptr: *mut Complex64,
     len: usize,
+    _dst: PhantomData<&'a mut [Complex64]>,
 }
 
-unsafe impl Send for SharedDst {}
-unsafe impl Sync for SharedDst {}
+// SAFETY: `ptr`/`len` describe a slice uniquely borrowed for `'a`
+// (`_dst`), so sending or sharing the view cannot outlive or alias a
+// safe borrow; the element writes it permits are governed by
+// `slice_mut`'s contract.
+unsafe impl Send for SharedDst<'_> {}
+unsafe impl Sync for SharedDst<'_> {}
 
-impl SharedDst {
+impl<'a> SharedDst<'a> {
+    fn new(dst: &'a mut [Complex64]) -> Self {
+        SharedDst {
+            ptr: dst.as_mut_ptr(),
+            len: dst.len(),
+            _dst: PhantomData,
+        }
+    }
+
     /// # Safety
     /// Callers must write only to element indices no other thread
     /// touches during the lifetime of the returned slice.
     #[allow(clippy::mut_from_ref)]
     unsafe fn slice_mut(&self) -> &mut [Complex64] {
         core::slice::from_raw_parts_mut(self.ptr, self.len)
+    }
+}
+
+/// Runs `n_stages` stages that ping-pong between the caller's arrays —
+/// stage `s` reads `data` when `s` is even and `work` when it is odd,
+/// and writes the other — then leaves the result in `data`.
+pub(crate) fn run_stages(
+    data: &mut [Complex64],
+    work: &mut [Complex64],
+    n_stages: usize,
+    mut stage: impl FnMut(usize, &[Complex64], &SharedDst<'_>) -> Result<(), PipelineError>,
+) -> Result<(), PipelineError> {
+    for s in 0..n_stages {
+        let (src, dst): (&[Complex64], &mut [Complex64]) = if s % 2 == 0 {
+            (&*data, &mut *work)
+        } else {
+            (&*work, &mut *data)
+        };
+        stage(s, src, &SharedDst::new(dst))?;
+    }
+    if n_stages % 2 == 1 {
+        data.copy_from_slice(work);
+    }
+    Ok(())
+}
+
+/// One stage's three tasks as pipeline callbacks — the single builder
+/// both schedules run. `p_d` loaders copy block-contiguous shares of
+/// `src`, `p_d` storers write disjoint packet ranges of each `b`-element
+/// block through the write matrix of `perm`, and `p_c` compute tasks
+/// each own the kernel `kernel()` makes for them.
+pub(crate) fn stage_callbacks<'a>(
+    src: &'a [Complex64],
+    dst: &'a SharedDst<'_>,
+    b: usize,
+    perm: StagePerm,
+    non_temporal: bool,
+    (p_d, p_c): (usize, usize),
+    kernel: impl FnMut() -> ComputeFn<'a>,
+) -> PipelineCallbacks<'a> {
+    let n_packets = write_matrix_packets(&WriteMatrix::new(perm, b, 0));
+    PipelineCallbacks {
+        loaders: (0..p_d)
+            .map(|_| {
+                Box::new(move |blk: usize, off: usize, share: &mut [Complex64]| {
+                    load_contiguous(src, share, blk * b + off, 0..share.len());
+                }) as LoadFn
+            })
+            .collect(),
+        storers: partition(n_packets, p_d)
+            .into_iter()
+            .map(|range| {
+                Box::new(move |blk: usize, half: &[Complex64]| {
+                    let w = WriteMatrix::new(perm, b, blk);
+                    // SAFETY: packet ranges are disjoint across threads
+                    // and the write permutation is injective, so
+                    // destination addresses are disjoint too.
+                    let dst_all = unsafe { dst.slice_mut() };
+                    store_through_write_matrix(half, dst_all, &w, range.clone(), non_temporal);
+                }) as StoreFn
+            })
+            .collect(),
+        computes: core::iter::repeat_with(kernel).take(p_c).collect(),
     }
 }
 
@@ -177,20 +256,11 @@ fn pipelined_impl(
     cfg: &ExecConfig,
 ) -> Result<ExecReport, CoreError> {
     let buffer = alloc_double_buffer(plan, cfg)?;
-    let n_stages = plan.stages().len();
     let mut last_report = PipelineReport::default();
-    for (s, stage) in plan.stages().iter().enumerate() {
-        // Stages alternate data→work→data→…
-        let report = if s % 2 == 0 {
-            run_stage(plan, stage, s, &buffer, data, work, cfg)
-        } else {
-            run_stage(plan, stage, s, &buffer, work, data, cfg)
-        }?;
-        last_report = report;
-    }
-    if n_stages % 2 == 1 {
-        data.copy_from_slice(work);
-    }
+    run_stages(data, work, plan.stages().len(), |s, src, dst| {
+        let callbacks = plan_stage_callbacks(plan, s, src, dst, (plan.p_d, plan.p_c));
+        run_pipeline(&buffer, &stage_config(plan, s, cfg), callbacks).map(|r| last_report = r)
+    })?;
     Ok(ExecReport {
         executor: ExecutorKind::Pipelined,
         degradations: plan.degradations.clone(),
@@ -250,104 +320,50 @@ fn verify_parseval(
     Ok(())
 }
 
-fn run_stage(
-    plan: &FftPlan,
-    stage: &StageSpec,
-    stage_idx: usize,
-    buffer: &DoubleBuffer,
-    src: &[Complex64],
-    dst: &mut [Complex64],
-    cfg: &ExecConfig,
-) -> Result<PipelineReport, PipelineError> {
-    let b = plan.buffer_elems;
-    let total = plan.dims.total();
-    let sk = plan.sockets;
-    let iters_per_socket = total / b / sk;
-    let p_d = plan.p_d;
-    let p_c = plan.p_c;
-    let nt = plan.non_temporal;
-
-    let shared = SharedDst {
-        ptr: dst.as_mut_ptr(),
-        len: dst.len(),
+/// The plan's stage `s` as callbacks for `threads` (data, compute): the
+/// stage's write matrix, and one batched kernel per compute thread.
+fn plan_stage_callbacks<'a>(
+    plan: &'a FftPlan,
+    s: usize,
+    src: &'a [Complex64],
+    dst: &'a SharedDst<'_>,
+    threads: (usize, usize),
+) -> PipelineCallbacks<'a> {
+    let stage = &plan.stages()[s];
+    let kernel = || -> ComputeFn<'a> {
+        let mut fft = BatchFft::with_variant(stage.fft_size, stage.lanes, plan.dir, plan.kernel);
+        Box::new(move |_blk: usize, _off: usize, share: &mut [Complex64]| fft.run(share))
     };
-    let shared_ref = &shared;
-
-    // Blocks are issued socket-major: block index
-    // `socket·iters_per_socket + i` reads the socket's local slab
-    // contiguously, matching §IV-B's per-socket parallelism. The real
-    // executor runs the sockets' block streams back-to-back on the
-    // host's threads; the simulator runs them concurrently.
-    let n_packets = write_matrix_packets(&WriteMatrix::new(stage.perm, b, 0));
-    let packet_parts = partition(n_packets, p_d);
-
-    let loaders: Vec<LoadFn> = (0..p_d)
-        .map(|_| {
-            Box::new(move |blk: usize, off: usize, share: &mut [Complex64]| {
-                load_contiguous(src, share, blk * b + off, 0..share.len());
-            }) as LoadFn
-        })
-        .collect();
-    let storers: Vec<StoreFn> = (0..p_d)
-        .map(|j| {
-            let range = packet_parts[j].clone();
-            let perm = stage.perm;
-            Box::new(move |blk: usize, half: &[Complex64]| {
-                let w = WriteMatrix::new(perm, b, blk);
-                // Safety: packet ranges are disjoint across threads and
-                // the write permutation is injective, so destination
-                // addresses are disjoint too.
-                let dst_all = unsafe { shared_ref.slice_mut() };
-                store_through_write_matrix(half, dst_all, &w, range.clone(), nt);
-            }) as StoreFn
-        })
-        .collect();
-    let computes: Vec<ComputeFn> = (0..p_c)
-        .map(|_| {
-            let mut kernel =
-                BatchFft::with_variant(stage.fft_size, stage.lanes, plan.dir, plan.kernel);
-            Box::new(move |_blk: usize, _off: usize, share: &mut [Complex64]| {
-                kernel.run(share);
-            }) as ComputeFn
-        })
-        .collect();
-
-    run_pipeline(
-        buffer,
-        &PipelineConfig {
-            iters: iters_per_socket * sk,
-            load_unit: plan.mu.min(b),
-            compute_unit: stage.pencil_elems(),
-            pin_cpus: plan.pin_cpus.clone(),
-            iter_timeout: cfg.iter_timeout,
-            fault: cfg.fault.clone(),
-            stage: stage_idx,
-            trace: cfg.trace.clone(),
-            adaptive_watchdog: cfg.adaptive_watchdog,
-            integrity: cfg.integrity,
-            cancel: cfg.cancel.clone(),
-        },
-        PipelineCallbacks {
-            loaders,
-            storers,
-            computes,
-        },
-    )
+    let (b, nt) = (plan.buffer_elems, plan.non_temporal);
+    stage_callbacks(src, dst, b, stage.perm, nt, threads, kernel)
 }
 
-/// Convenience wrapper: forward transform of a 3D cube, allocating the
-/// workspace internally.
-pub fn fft3d_forward(
-    plan: &FftPlan,
-    data: &mut [Complex64],
-) -> Result<ExecReport, CoreError> {
-    let mut work = try_vec_zeroed::<Complex64>(data.len(), "fft3d workspace")?;
-    execute(plan, data, &mut work)
+/// Stage `s`'s pipeline configuration under the caller's knobs.
+fn stage_config(plan: &FftPlan, s: usize, cfg: &ExecConfig) -> PipelineConfig {
+    PipelineConfig {
+        // Blocks are issued socket-major: block index
+        // `socket·iters_per_socket + i` reads the socket's local slab
+        // contiguously, matching §IV-B's per-socket parallelism. The
+        // real executor runs the sockets' block streams back-to-back on
+        // the host's threads; the simulator runs them concurrently.
+        iters: plan.iters_per_socket() * plan.sockets,
+        load_unit: plan.mu.min(plan.buffer_elems),
+        compute_unit: plan.stages()[s].pencil_elems(),
+        pin_cpus: plan.pin_cpus.clone(),
+        iter_timeout: cfg.iter_timeout,
+        fault: cfg.fault.clone(),
+        stage: s,
+        trace: cfg.trace.clone(),
+        adaptive_watchdog: cfg.adaptive_watchdog,
+        integrity: cfg.integrity,
+        cancel: cfg.cancel.clone(),
+    }
 }
 
-/// Executes the plan *without* the soft-DMA pipeline: one thread per
-/// block does load → compute → store sequentially (no double buffer,
-/// no role split). Numerically identical to [`execute`]; this is the
+/// Executes the plan *without* the soft-DMA pipeline: the same stage
+/// callbacks with one thread per role, run on the fused schedule — one
+/// thread does load → compute → store per block (no double buffer, no
+/// role split). Bitwise identical to [`execute`]; this is the
 /// host-side counterfactual matched by
 /// [`crate::exec_sim::simulate_no_overlap`], used by the host
 /// benchmarks to measure what the overlap machinery itself buys — and
@@ -367,92 +383,19 @@ fn fused_impl(
     cfg: &ExecConfig,
 ) -> Result<ExecReport, CoreError> {
     check_lengths(plan, data, work)?;
-    let trace = cfg.trace.as_deref();
-    let fault = cfg.fault.clone().unwrap_or_default();
-    let total = plan.dims.total();
     let b = plan.buffer_elems;
     let bytes = b * core::mem::size_of::<Complex64>();
-    check_alloc_budget("fused scratch", bytes, fault.fail_alloc_over)?;
-    let mut buf = try_vec_zeroed::<Complex64>(b, "fused scratch")?;
-    let n_stages = plan.stages().len();
-    for (s, stage) in plan.stages().iter().enumerate() {
-        let (src, dst): (&[Complex64], &mut [Complex64]) = if s % 2 == 0 {
-            (&*data, &mut *work)
-        } else {
-            (&*work, &mut *data)
-        };
-        // Fused is single-threaded: one tracer per role shows the
-        // strictly serial load → compute → store cadence (overlap
-        // fraction 0 by construction — the counterfactual the
-        // pipelined profile is compared against).
-        let mut data_tracer = ThreadTracer::new(trace, TraceRole::Data, 0, s);
-        let mut compute_tracer = ThreadTracer::new(trace, TraceRole::Compute, 0, s);
-        let mut kernel =
-            BatchFft::with_variant(stage.fft_size, stage.lanes, plan.dir, plan.kernel);
-        for blk in 0..total / b {
-            // Same cancellation contract as the pipeline: polled at
-            // block granularity, so a fused request under a deadline
-            // frees its worker instead of finishing the whole schedule.
-            if let Some(reason) = cfg.cancel.as_ref().and_then(CancelToken::fired) {
-                return Err(CoreError::Pipeline(PipelineError::Cancelled {
-                    iter: blk,
-                    reason,
-                }));
-            }
-            // The fused executor honors the fault plan with thread-0
-            // semantics (it *is* every role's thread 0): a stall sleeps
-            // in place, a panic site becomes a typed error without
-            // unwinding. Corruption sites are ignored — they model
-            // stray writes between pipeline handoffs, and fused has no
-            // handoffs — which is also what makes fused a viable
-            // escalation target under a corruption fault.
-            if let Some(st) = &fault.stall {
-                if st.site.thread == 0 && st.site.iter == blk {
-                    if let Some(t) = trace {
-                        t.mark(
-                            MarkKind::FaultInjected,
-                            format!("stall: fused executor at block {blk}"),
-                            Some(st.duration.as_nanos() as f64),
-                        );
-                    }
-                    std::thread::sleep(st.duration);
-                }
-            }
-            if let Some(site) = fault.panic_at {
-                if site.thread == 0 && site.iter == blk {
-                    if let Some(t) = trace {
-                        t.mark(
-                            MarkKind::FaultInjected,
-                            format!("panic: fused executor at block {blk}"),
-                            None,
-                        );
-                    }
-                    return Err(CoreError::Pipeline(PipelineError::WorkerPanicked {
-                        role: site.role,
-                        thread: 0,
-                        iter: blk,
-                        message: format!(
-                            "{INJECTED_FAULT_PREFIX}: fused executor at iteration {blk}"
-                        ),
-                    }));
-                }
-            }
-            let span = data_tracer.start();
-            buf.copy_from_slice(&src[blk * b..(blk + 1) * b]);
-            data_tracer.finish(span, Phase::Load, blk);
-            let span = compute_tracer.start();
-            kernel.run(&mut buf);
-            compute_tracer.finish(span, Phase::Compute, blk);
-            let span = data_tracer.start();
-            let w = WriteMatrix::new(stage.perm, b, blk);
-            let packets = write_matrix_packets(&w);
-            store_through_write_matrix(&buf, dst, &w, 0..packets, plan.non_temporal);
-            data_tracer.finish(span, Phase::Store, blk);
-        }
-    }
-    if n_stages % 2 == 1 {
-        data.copy_from_slice(work);
-    }
+    let budget = cfg.fault.as_ref().and_then(|f| f.fail_alloc_over);
+    check_alloc_budget("fused scratch", bytes, budget)?;
+    let mut scratch = try_vec_zeroed::<Complex64>(b, "fused scratch")?;
+    // The pipelined stage's own callbacks with one thread per role,
+    // run on the fused schedule (load → compute → store per block): the
+    // strictly serial counterfactual the pipelined profile is compared
+    // against, and the same arithmetic by construction.
+    run_stages(data, work, plan.stages().len(), |s, src, dst| {
+        let callbacks = plan_stage_callbacks(plan, s, src, dst, (1, 1));
+        run_fused(&mut scratch, &stage_config(plan, s, cfg), callbacks).map(drop)
+    })?;
     Ok(ExecReport {
         executor: ExecutorKind::Fused,
         degradations: plan.degradations.clone(),
@@ -628,7 +571,8 @@ mod tests {
             .buffer_elems(64)
             .build()
             .unwrap();
-        fft3d_forward(&plan, &mut data).unwrap();
+        let mut work = vec![Complex64::ZERO; data.len()];
+        execute(&plan, &mut data, &mut work).unwrap();
         for v in &data {
             assert!((v.re - 1.0).abs() < 1e-10 && v.im.abs() < 1e-10);
         }
@@ -653,7 +597,8 @@ mod tests {
             .buffer_elems(64)
             .build()
             .unwrap();
-        fft3d_forward(&plan, &mut data).unwrap();
+        let mut work = vec![Complex64::ZERO; data.len()];
+        execute(&plan, &mut data, &mut work).unwrap();
         // Spike at (0, 0, 3) with magnitude k·n·m.
         let spike = data[3];
         assert!((spike.re - (k * n * m) as f64).abs() < 1e-8, "{spike}");
@@ -1166,6 +1111,73 @@ mod fault_tests {
             ),
             "fused: expected Cancelled, got {err:?}"
         );
+    }
+
+    /// The fused executor's fault contract over every (role, phase) site
+    /// at the first, a middle and the last block: a thread-0 panic is a
+    /// typed error naming the fused executor; thread-1 sites, stalls and
+    /// corruption sites leave the output bitwise equal to a clean run.
+    #[test]
+    fn fused_fault_sites_follow_the_thread0_rule() {
+        use bwfft_pipeline::FaultPhase;
+        bwfft_pipeline::fault::silence_injected_panic_reports();
+        let host = HostProfile {
+            cpus: 1,
+            pin_works: true,
+            llc_bytes: None,
+        };
+        let plan = FftPlan::builder(Dims::d3(8, 8, 16))
+            .buffer_elems(128)
+            .threads(2, 2)
+            .host(host)
+            .build()
+            .unwrap();
+        assert_eq!(plan.executor, ExecutorKind::Fused);
+        let x = random_complex(plan.dims.total(), 95);
+        let run = |fault: FaultPlan| {
+            let mut data = x.clone();
+            let mut work = vec![Complex64::ZERO; x.len()];
+            let cfg = ExecConfig {
+                fault: Some(fault),
+                ..Default::default()
+            };
+            execute_with(&plan, &mut data, &mut work, &cfg).map(|_| data)
+        };
+        let clean = run(FaultPlan::none()).unwrap();
+        let last = plan.dims.total() / plan.buffer_elems - 1;
+        let stall = Duration::from_millis(1);
+        for (role, phase) in [
+            (Role::Data, FaultPhase::Load),
+            (Role::Data, FaultPhase::Store),
+            (Role::Compute, FaultPhase::Compute),
+        ] {
+            for blk in [0, last / 2, last] {
+                let site = format!("{role:?} {phase:?} block {blk}");
+                match run(FaultPlan::panic_at_phase(role, 0, blk, phase)) {
+                    Err(CoreError::Pipeline(PipelineError::WorkerPanicked {
+                        role: r,
+                        thread: 0,
+                        iter,
+                        message,
+                    })) => {
+                        assert_eq!((r, iter), (role, blk), "{site}");
+                        assert!(message.contains("fused"), "{site}: {message}");
+                    }
+                    other => panic!("{site}: expected WorkerPanicked, got {other:?}"),
+                }
+                for fault in [
+                    FaultPlan::panic_at_phase(role, 1, blk, phase),
+                    FaultPlan::stall_at_phase(role, 1, blk, phase, stall),
+                    FaultPlan::stall_at_phase(role, 0, blk, phase, stall),
+                    FaultPlan::corrupt_at(role, 0, blk, phase),
+                    FaultPlan::corrupt_at(role, 1, blk, phase),
+                ] {
+                    let out =
+                        run(fault.clone()).unwrap_or_else(|e| panic!("{site} {fault:?}: {e}"));
+                    assert_eq!(out, clean, "{site} {fault:?}");
+                }
+            }
+        }
     }
 
     /// Test-only shim: fused executor with an explicit config.

@@ -25,19 +25,18 @@
 //! transforms.
 
 use crate::error::CoreError;
+use crate::exec_real::{run_stages, stage_callbacks};
 use crate::exec_sim::{simulate_generic_stage, GenericStage, SimOptions, StageCost};
 use crate::metrics;
 use crate::plan::PlanError;
 use bwfft_kernels::batch::BatchFft;
-use bwfft_kernels::transpose::{store_through_write_matrix, write_matrix_packets};
 use bwfft_kernels::Direction;
 use bwfft_machine::spec::MachineSpec;
 use bwfft_machine::stats::PerfReport;
 use bwfft_num::{Complex64, MU};
-use bwfft_pipeline::buffer::partition;
-use bwfft_pipeline::exec::{ComputeFn, LoadFn, PipelineCallbacks, PipelineConfig, StoreFn};
+use bwfft_pipeline::exec::{ComputeFn, PipelineConfig};
 use bwfft_pipeline::{run_pipeline, DoubleBuffer};
-use bwfft_spl::gather_scatter::{StagePerm, WriteMatrix};
+use bwfft_spl::gather_scatter::StagePerm;
 use bwfft_spl::PermOp;
 
 /// Plan for a large 1D FFT of `n1 · n2` points.
@@ -103,6 +102,11 @@ impl Fft1dLargePlan {
         } else {
             self.b
         };
+        if self.p_d == 0 || self.p_c == 0 {
+            return Err(PlanError::ThreadCount(
+                "need at least one data and one compute thread",
+            ));
+        }
         if !bwfft_num::is_pow2(self.n1) {
             return Err(PlanError::NotPow2("n1", self.n1));
         }
@@ -202,127 +206,43 @@ pub fn execute(
     }
     let b = plan.validated_b()?;
     let perms = plan.stage_perms();
-    let n_stages = perms.len();
     let buffer = DoubleBuffer::new(b);
-
-    for (s, perm) in perms.iter().enumerate() {
+    let (n1, n2, mu, dir) = (plan.n1, plan.n2, plan.mu, plan.dir);
+    run_stages(data, work, perms.len(), |s, src, dst| {
+        // 0 = decimation, 1 = rows + twiddle, 2 = lanes.
         let stage_kind = if plan.decimate_input { s } else { s + 1 };
-        let (src, dst): (&[Complex64], &mut [Complex64]) = if s % 2 == 0 {
-            (&*data, &mut *work)
-        } else {
-            (&*work, &mut *data)
-        };
-        run_1d_stage(plan, stage_kind, *perm, b, &buffer, src, dst)?;
-        // Rust borrow rules force the copy-back pattern below instead
-        // of slice swapping; the arrays alternate by stage parity.
-        let _ = dst;
-    }
-    if n_stages % 2 == 1 {
-        data.copy_from_slice(work);
-    }
-    Ok(())
-}
-
-struct SharedDst {
-    ptr: *mut Complex64,
-    len: usize,
-}
-unsafe impl Send for SharedDst {}
-unsafe impl Sync for SharedDst {}
-impl SharedDst {
-    /// # Safety
-    /// Disjoint concurrent writes only (write-matrix injectivity).
-    #[allow(clippy::mut_from_ref)]
-    unsafe fn slice_mut(&self) -> &mut [Complex64] {
-        core::slice::from_raw_parts_mut(self.ptr, self.len)
-    }
-}
-
-fn run_1d_stage(
-    plan: &Fft1dLargePlan,
-    stage_kind: usize, // 0 = decimate, 1 = rows+twiddle, 2 = lanes
-    perm: StagePerm,
-    b: usize,
-    buffer: &DoubleBuffer,
-    src: &[Complex64],
-    dst: &mut [Complex64],
-) -> Result<(), CoreError> {
-    let total = plan.total();
-    let iters = total / b;
-    let (n1, n2) = (plan.n1, plan.n2);
-    let dir = plan.dir;
-    let shared = SharedDst {
-        ptr: dst.as_mut_ptr(),
-        len: dst.len(),
-    };
-    let shared_ref = &shared;
-
-    let n_packets = write_matrix_packets(&WriteMatrix::new(perm, b, 0));
-    let packet_parts = partition(n_packets, plan.p_d);
-
-    let loaders: Vec<LoadFn> = (0..plan.p_d)
-        .map(|_| {
-            Box::new(move |blk: usize, off: usize, share: &mut [Complex64]| {
-                let start = blk * b + off;
-                share.copy_from_slice(&src[start..start + share.len()]);
-            }) as LoadFn
-        })
-        .collect();
-    let storers: Vec<StoreFn> = (0..plan.p_d)
-        .map(|j| {
-            let range = packet_parts[j].clone();
-            Box::new(move |blk: usize, half: &[Complex64]| {
-                let w = WriteMatrix::new(perm, b, blk);
-                // Safety: disjoint packet ranges, injective perm.
-                let dst_all = unsafe { shared_ref.slice_mut() };
-                store_through_write_matrix(half, dst_all, &w, range.clone(), true);
-            }) as StoreFn
-        })
-        .collect();
-    let computes: Vec<ComputeFn> = (0..plan.p_c)
-        .map(|_| match stage_kind {
-            0 => Box::new(move |_blk: usize, _off: usize, _share: &mut [Complex64]| {
+        let kernel = || -> ComputeFn<'_> {
+            match stage_kind {
                 // Decimation stage: pure data movement.
-            }) as ComputeFn,
-            1 => {
-                let mut kernel = BatchFft::new(n2, 1, dir);
-                Box::new(move |blk: usize, off: usize, share: &mut [Complex64]| {
-                    kernel.run(share);
-                    // Fold in the Cooley–Tukey twiddle diagonal.
-                    let base = blk * b + off;
-                    for (t, v) in share.iter_mut().enumerate() {
-                        *v *= twiddle_at(base + t, n1, n2, dir);
-                    }
-                }) as ComputeFn
+                0 => Box::new(|_blk: usize, _off: usize, _share: &mut [Complex64]| {}),
+                1 => {
+                    let mut fft = BatchFft::new(n2, 1, dir);
+                    Box::new(move |blk: usize, off: usize, share: &mut [Complex64]| {
+                        fft.run(share);
+                        // Fold in the Cooley–Tukey twiddle diagonal.
+                        let base = blk * b + off;
+                        for (t, v) in share.iter_mut().enumerate() {
+                            *v *= twiddle_at(base + t, n1, n2, dir);
+                        }
+                    })
+                }
+                _ => {
+                    let mut fft = BatchFft::new(n1, mu, dir);
+                    Box::new(move |_blk: usize, _off: usize, share: &mut [Complex64]| {
+                        fft.run(share)
+                    })
+                }
             }
-            _ => {
-                let mut kernel = BatchFft::new(n1, plan.mu, dir);
-                Box::new(move |_blk: usize, _off: usize, share: &mut [Complex64]| {
-                    kernel.run(share);
-                }) as ComputeFn
-            }
-        })
-        .collect();
-
-    let compute_unit = match stage_kind {
-        0 => plan.mu,
-        1 => n2,
-        _ => n1 * plan.mu,
-    };
-    run_pipeline(
-        buffer,
-        &PipelineConfig {
-            iters,
-            load_unit: plan.mu.min(b),
-            compute_unit,
+        };
+        let callbacks = stage_callbacks(src, dst, b, perms[s], true, (plan.p_d, plan.p_c), kernel);
+        let cfg = PipelineConfig {
+            iters: total / b,
+            load_unit: mu.min(b),
+            compute_unit: [mu, n2, n1 * mu][stage_kind],
             ..PipelineConfig::default()
-        },
-        PipelineCallbacks {
-            loaders,
-            storers,
-            computes,
-        },
-    )?;
+        };
+        run_pipeline(&buffer, &cfg, callbacks).map(drop)
+    })?;
     Ok(())
 }
 
@@ -478,7 +398,27 @@ mod tests {
         let x = random_complex(n1 * n2, 404);
         let a = run(&Fft1dLargePlan::new(n1, n2).buffer_elems(128).threads(1, 1), &x);
         let b = run(&Fft1dLargePlan::new(n1, n2).buffer_elems(256).threads(3, 2), &x);
-        assert_fft_close(&a, &b);
+        let c = run(&Fft1dLargePlan::new(n1, n2).buffer_elems(512).threads(2, 3), &x);
+        // Same kernels and twiddles per row and lane pencil, whatever
+        // the block size and thread split: the results are bitwise equal.
+        assert_eq!(a, b);
+        assert_eq!(a, c);
+    }
+
+    #[test]
+    fn zero_thread_counts_are_typed_plan_errors() {
+        let x = random_complex(16 * 32, 405);
+        for (p_d, p_c) in [(0, 1), (1, 0), (0, 0)] {
+            let plan = Fft1dLargePlan::new(16, 32)
+                .buffer_elems(128)
+                .threads(p_d, p_c);
+            let mut data = x.clone();
+            let mut work = vec![Complex64::ZERO; x.len()];
+            match execute(&plan, &mut data, &mut work) {
+                Err(CoreError::Plan(PlanError::ThreadCount(_))) => {}
+                other => panic!("threads({p_d}, {p_c}): expected ThreadCount, got {other:?}"),
+            }
+        }
     }
 
     #[test]

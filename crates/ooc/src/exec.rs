@@ -20,8 +20,9 @@
 //! `p_c` compute threads run the batched Stockham kernels on the other
 //! half. Storage failures (real or injected) are absorbed by a
 //! per-stage recovery ladder — bounded pipelined retries with backoff,
-//! then a single-threaded serial fallback — because a stage that
-//! rereads its (never-overwritten) source is exactly repeatable.
+//! then a single-threaded serial fallback running the same callbacks on
+//! the fused schedule — because a stage that rereads its
+//! (never-overwritten) source is exactly repeatable.
 
 use crate::error::{OocError, ResumeError};
 use crate::journal::{Journal, JournalState};
@@ -35,9 +36,12 @@ use bwfft_kernels::Direction;
 use bwfft_num::alloc::{check_alloc_budget, try_vec_zeroed};
 use bwfft_num::Complex64;
 use bwfft_pipeline::buffer::{partition, DoubleBuffer};
-use bwfft_pipeline::exec::{block_checksum, run_pipeline, PipelineCallbacks, PipelineConfig};
+use bwfft_pipeline::exec::{
+    block_checksum, run_fused, run_pipeline, ComputeFn, LoadFn, PipelineCallbacks, PipelineConfig,
+    StoreFn,
+};
 use bwfft_trace::MarkKind;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
@@ -123,26 +127,25 @@ struct Stage<'a> {
     kind: StageKind,
 }
 
-/// Counters and the first-error slot shared by the per-thread I/O
+/// Counters and the first-failure slot shared by the per-thread I/O
 /// closures of one stage attempt (callbacks cannot return `Result`).
 #[derive(Default)]
 struct IoShared {
-    err: Mutex<Option<String>>,
+    /// The attempt's first failure: a storage error, a journal append
+    /// error, or an injected `CrashMode::Halt` crash point — which the
+    /// ladder must surface as is instead of retrying it back to health
+    /// (a retried "crash" would prove nothing).
+    err: Mutex<Option<OocError>>,
     bytes_read: AtomicU64,
     bytes_written: AtomicU64,
     io_ns: AtomicU64,
-    faults_hit: AtomicU32,
-    /// Latched by a `CrashMode::Halt` crash point: the ladder must
-    /// stop the run with a typed error instead of retrying it back to
-    /// health (a retried "crash" would prove nothing).
-    halt: AtomicBool,
 }
 
 impl IoShared {
-    fn set_err(&self, msg: String) {
+    fn set_err(&self, e: OocError) {
         let mut slot = self.err.lock().unwrap_or_else(|e| e.into_inner());
         if slot.is_none() {
-            *slot = Some(msg);
+            *slot = Some(e);
         }
     }
 
@@ -153,35 +156,74 @@ impl IoShared {
             .is_some()
     }
 
-    fn take_err(&self) -> Option<String> {
+    fn take_err(&self) -> Option<OocError> {
         self.err.lock().unwrap_or_else(|e| e.into_inner()).take()
     }
 }
 
-/// One-shot fault arming shared across stages and retry attempts: the
-/// injected fault fires at most once per run, so the first retry after
-/// it observes healthy storage.
+/// A storage failure at block `blk` of `stage`, for the attempt's
+/// error slot.
+fn storage_err(stage: &Stage<'_>, blk: usize, what: impl std::fmt::Display) -> OocError {
+    OocError::Io {
+        context: stage.name,
+        message: format!("block {blk}: {what}"),
+    }
+}
+
+/// The fault has not fired yet.
+const ARMED: u8 = 0;
+/// The fault fired in the current stage attempt.
+const FIRING: u8 = 1;
+/// The fault fired in an earlier attempt; storage is healthy again.
+const SPENT: u8 = 2;
+
+/// One-shot fault arming shared across stages and retry attempts. The
+/// injected fault fails its block in exactly one attempt — every
+/// thread's share of that block, so the failed attempt's traffic does
+/// not depend on which thread got there first — and the attempts after
+/// it observe healthy storage.
 struct FaultOnce {
     fault: Option<OocFault>,
-    consumed: AtomicBool,
+    state: AtomicU8,
 }
 
 impl FaultOnce {
     fn new(fault: Option<OocFault>) -> Self {
         FaultOnce {
             fault,
-            consumed: AtomicBool::new(false),
+            state: AtomicU8::new(ARMED),
         }
     }
 
     fn fires(&self, stage: usize, iter: usize, kind: OocFaultKind) -> bool {
         match self.fault {
-            Some(f) if f.stage == stage && f.iter == iter && f.kind == kind => self
-                .consumed
-                .compare_exchange(false, true, Ordering::AcqRel, Ordering::Acquire)
-                .is_ok(),
+            Some(f) if f.stage == stage && f.iter == iter && f.kind == kind => {
+                // The first caller fires it; later shares of the block
+                // in the same attempt find it already firing.
+                match self.state.compare_exchange(
+                    ARMED,
+                    FIRING,
+                    Ordering::AcqRel,
+                    Ordering::Acquire,
+                ) {
+                    Ok(_) => true,
+                    Err(state) => state == FIRING,
+                }
+            }
             _ => false,
         }
+    }
+
+    /// Closes a stage attempt: a fault that fired in it is spent.
+    fn end_attempt(&self) {
+        if self.state.load(Ordering::Acquire) == FIRING {
+            self.state.store(SPENT, Ordering::Release);
+        }
+    }
+
+    /// True once the fault has fired.
+    fn fired(&self) -> bool {
+        self.state.load(Ordering::Acquire) != ARMED
     }
 }
 
@@ -203,19 +245,18 @@ impl CkptCtx<'_> {
         }
         match cp.mode {
             CrashMode::Abort => std::process::abort(),
-            CrashMode::Halt => {
-                io.halt.store(true, Ordering::Release);
-                io.set_err(format!(
-                    "injected crash point halted run at stage {stage} block {block}"
-                ));
-            }
+            CrashMode::Halt => io.set_err(OocError::CrashPoint {
+                stage: STAGE_NAMES[stage],
+                block,
+            }),
         }
     }
 }
 
-/// Per-attempt completion tracker for one pipelined stage: each storer
-/// folds the order-independent checksum of its share into the block's
-/// slot; the last of `expected` arrivals owns the durable commit.
+/// Per-attempt completion tracker for one stage: each storer folds the
+/// order-independent checksum of its share into the block's slot; the
+/// last of `expected` arrivals owns the durable commit. With a single
+/// storer (the serial tier) the record is the whole block's checksum.
 struct StageCommit<'a, 'b> {
     ctx: &'b CkptCtx<'a>,
     stage: usize,
@@ -239,10 +280,7 @@ impl StageCommit<'_, '_> {
         if n == self.expected {
             let sum = self.sums[local].load(Ordering::Acquire);
             if let Err(e) = self.ctx.journal.append_block(self.stage, actual, sum) {
-                io.set_err(format!(
-                    "journal append at stage {} block {actual}: {e}",
-                    self.stage
-                ));
+                io.set_err(OocError::Journal(e));
                 return;
             }
             self.ctx.maybe_crash(self.stage, actual, io);
@@ -275,24 +313,29 @@ fn mark_recovery(cfg: &OocConfig, label: String) {
     }
 }
 
-/// Data-thread load role: `(block, element offset, destination half)`.
-type LoaderFn<'a> = Box<dyn FnMut(usize, usize, &mut [Complex64]) + Send + 'a>;
-/// Data-thread store role: `(block, finished half)`.
-type StorerFn<'a> = Box<dyn FnMut(usize, &[Complex64]) + Send + 'a>;
-/// Compute role: `(block, element offset, half slice)`.
-type ComputeFn<'a> = Box<dyn FnMut(usize, usize, &mut [Complex64]) + Send + 'a>;
+/// Which schedule a stage attempt runs its callbacks on.
+enum Tier {
+    /// `p_d` data and `p_c` compute threads through the double buffer.
+    Pipelined,
+    /// The degraded tier: the same callbacks built for one data and one
+    /// compute thread, run on the fused schedule over one block buffer —
+    /// the same kernels and twiddles, so degrading never changes the
+    /// answer.
+    Serial,
+}
 
-/// Runs one stage through the double-buffered pipeline, streaming only
-/// the blocks listed in `pending` (a resume skips journaled-complete
-/// ones; a fresh run lists them all). I/O problems surface through
-/// `io`; pipeline-level failures return directly. When `ckpt` is set,
-/// every fully stored block commits a durable journal record.
+/// Runs one attempt at a stage, streaming only the blocks listed in
+/// `pending` (a resume skips journaled-complete ones; a fresh run lists
+/// them all). I/O problems surface through `io`; pipeline-level
+/// failures return directly. When `ckpt` is set, every fully stored
+/// block commits a durable journal record.
 #[allow(clippy::too_many_arguments)]
-fn run_stage_pipelined(
+fn run_stage_attempt(
     stage: &Stage<'_>,
     plan: &OocPlan,
     cfg: &OocConfig,
     buffer: &DoubleBuffer,
+    tier: Tier,
     io: &IoShared,
     fault: &FaultOnce,
     pending: &[usize],
@@ -304,12 +347,16 @@ fn run_stage_pipelined(
     let iters = pending.len();
     let b = br * c;
     let idx = stage.index;
+    let (p_d, p_c) = match tier {
+        Tier::Pipelined => (plan.p_d, plan.p_c),
+        Tier::Serial => (1, 1),
+    };
 
     // Fresh commit slots per attempt: a retried stage re-accumulates
     // from zero (its storers rewrite every pending block).
     let storer_parts = match stage.kind {
-        StageKind::Dft { .. } => partition(br, plan.p_d),
-        StageKind::Transpose => partition(c, plan.p_d),
+        StageKind::Dft { .. } => partition(br, p_d),
+        StageKind::Transpose => partition(c, p_d),
     };
     let expected = storer_parts.iter().filter(|p| !p.is_empty()).count();
     let commit = ckpt.map(|ctx| StageCommit {
@@ -321,8 +368,8 @@ fn run_stage_pipelined(
     });
     let commit = commit.as_ref();
 
-    let mut loaders: Vec<LoaderFn<'_>> = Vec::new();
-    for _ in 0..plan.p_d {
+    let mut loaders: Vec<LoadFn<'_>> = Vec::new();
+    for _ in 0..p_d {
         let src = stage.src;
         loaders.push(Box::new(move |blk, off, share| {
             if share.is_empty() {
@@ -330,8 +377,7 @@ fn run_stage_pipelined(
             }
             let blk = pending[blk];
             if fault.fires(idx, blk, OocFaultKind::Read) {
-                io.faults_hit.fetch_add(1, Ordering::Relaxed);
-                io.set_err(format!("injected read fault at stage {idx} block {blk}"));
+                io.set_err(storage_err(stage, blk, "injected read fault"));
             }
             if io.has_err() {
                 share.fill(Complex64::ZERO);
@@ -349,14 +395,14 @@ fn run_stage_pipelined(
                         .fetch_add((share.len() * ELEM_BYTES) as u64, Ordering::Relaxed);
                 }
                 Err(e) => {
-                    io.set_err(format!("read at stage {idx} block {blk}: {e}"));
+                    io.set_err(storage_err(stage, blk, format_args!("read: {e}")));
                     share.fill(Complex64::ZERO);
                 }
             }
         }));
     }
 
-    let mut storers: Vec<StorerFn<'_>> = Vec::new();
+    let mut storers: Vec<StoreFn<'_>> = Vec::new();
     match stage.kind {
         StageKind::Dft { .. } => {
             // Partition the block's rows across the data threads; each
@@ -369,8 +415,7 @@ fn run_stage_pipelined(
                     }
                     let blk = pending[local];
                     if fault.fires(idx, blk, OocFaultKind::Write) {
-                        io.faults_hit.fetch_add(1, Ordering::Relaxed);
-                        io.set_err(format!("injected write fault at stage {idx} block {blk}"));
+                        io.set_err(storage_err(stage, blk, "injected write fault"));
                     }
                     if io.has_err() {
                         return;
@@ -388,7 +433,7 @@ fn run_stage_pipelined(
                                 cm.arrive(local, blk, block_checksum(buf), io);
                             }
                         }
-                        Err(e) => io.set_err(format!("write at stage {idx} block {blk}: {e}")),
+                        Err(e) => io.set_err(storage_err(stage, blk, format_args!("write: {e}"))),
                     }
                 }));
             }
@@ -406,8 +451,7 @@ fn run_stage_pipelined(
                     }
                     let blk = pending[local];
                     if fault.fires(idx, blk, OocFaultKind::Write) {
-                        io.faults_hit.fetch_add(1, Ordering::Relaxed);
-                        io.set_err(format!("injected write fault at stage {idx} block {blk}"));
+                        io.set_err(storage_err(stage, blk, "injected write fault"));
                     }
                     if io.has_err() {
                         return;
@@ -430,7 +474,7 @@ fn run_stage_pipelined(
                                 partial = partial.wrapping_add(block_checksum(&scratch));
                             }
                             Err(e) => {
-                                io.set_err(format!("write at stage {idx} block {blk}: {e}"));
+                                io.set_err(storage_err(stage, blk, format_args!("write: {e}")));
                                 return;
                             }
                         }
@@ -444,7 +488,7 @@ fn run_stage_pipelined(
     }
 
     let mut computes: Vec<ComputeFn<'_>> = Vec::new();
-    for _ in 0..plan.p_c {
+    for _ in 0..p_c {
         match stage.kind {
             StageKind::Transpose => computes.push(Box::new(|_, _, _| {})),
             StageKind::Dft { twiddle: tw } => {
@@ -479,15 +523,18 @@ fn run_stage_pipelined(
         integrity: cfg.integrity,
         ..PipelineConfig::default()
     };
-    run_pipeline(
-        buffer,
-        &pcfg,
-        PipelineCallbacks {
-            loaders,
-            storers,
-            computes,
-        },
-    )
+    let callbacks = PipelineCallbacks {
+        loaders,
+        storers,
+        computes,
+    };
+    match tier {
+        Tier::Pipelined => run_pipeline(buffer, &pcfg, callbacks),
+        Tier::Serial => {
+            let mut block = try_vec_zeroed::<Complex64>(b, "ooc serial block")?;
+            run_fused(&mut block, &pcfg, callbacks)
+        }
+    }
     .map_err(|error| OocError::Pipeline {
         stage: stage.name,
         error,
@@ -495,114 +542,20 @@ fn run_stage_pipelined(
     Ok(())
 }
 
-/// The degraded tier: one thread, one block in flight, plain loops.
-/// Identical arithmetic to the pipelined path (same kernels, same
-/// twiddles), so degrading never changes the answer.
-fn run_stage_serial(
-    stage: &Stage<'_>,
-    plan: &OocPlan,
-    half_elems: usize,
+/// Closes one stage attempt: `Ok(None)` when it succeeded, `Ok(Some(e))`
+/// with its failure otherwise, and `Err` for an injected crash point —
+/// not a storage fault, so retrying it away would defeat the drill.
+fn attempt_verdict(
+    outcome: Result<(), OocError>,
     io: &IoShared,
     fault: &FaultOnce,
-    pending: &[usize],
-    ckpt: Option<&CkptCtx<'_>>,
-) -> Result<(), OocError> {
-    let r = stage.src.rows();
-    let c = stage.src.cols();
-    let br = (half_elems / c).min(r).max(1);
-    let idx = stage.index;
-    let mut block = try_vec_zeroed::<Complex64>(br * c, "ooc serial block")?;
-    let mut scratch = try_vec_zeroed::<Complex64>(br, "ooc serial gather")?;
-    let mut kernel = match stage.kind {
-        StageKind::Dft { .. } => Some(BatchFft::new(c, 1, plan.dir)),
-        StageKind::Transpose => None,
-    };
-    for &blk in pending {
-        let row0 = blk * br;
-        if fault.fires(idx, blk, OocFaultKind::Read) {
-            io.faults_hit.fetch_add(1, Ordering::Relaxed);
-            return Err(OocError::Io {
-                context: stage.name,
-                message: format!("injected read fault at block {blk} (serial tier)"),
-            });
-        }
-        let t0 = Instant::now();
-        stage
-            .src
-            .read_rows(row0, &mut block)
-            .map_err(|e| OocError::io(stage.name, e))?;
-        io.io_ns
-            .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        io.bytes_read
-            .fetch_add((block.len() * ELEM_BYTES) as u64, Ordering::Relaxed);
-        if let StageKind::Dft { twiddle: tw } = stage.kind {
-            if let Some(k) = kernel.as_mut() {
-                k.run(&mut block);
-            }
-            if tw {
-                for (j, row) in block.chunks_mut(c).enumerate() {
-                    let a2 = row0 + j;
-                    for (k1, v) in row.iter_mut().enumerate() {
-                        *v *= twiddle(a2, k1, plan.n, plan.dir);
-                    }
-                }
-            }
-        }
-        if fault.fires(idx, blk, OocFaultKind::Write) {
-            io.faults_hit.fetch_add(1, Ordering::Relaxed);
-            return Err(OocError::Io {
-                context: stage.name,
-                message: format!("injected write fault at block {blk} (serial tier)"),
-            });
-        }
-        let t0 = Instant::now();
-        match stage.kind {
-            StageKind::Dft { .. } => {
-                stage
-                    .dst
-                    .write_rows(row0, &block)
-                    .map_err(|e| OocError::io(stage.name, e))?;
-            }
-            StageKind::Transpose => {
-                for col in 0..c {
-                    for (j, slot) in scratch.iter_mut().enumerate() {
-                        *slot = block[col + j * c];
-                    }
-                    stage
-                        .dst
-                        .write_row_segment(col, row0, &scratch)
-                        .map_err(|e| OocError::io(stage.name, e))?;
-                }
-            }
-        }
-        io.io_ns
-            .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        io.bytes_written
-            .fetch_add((block.len() * ELEM_BYTES) as u64, Ordering::Relaxed);
-        if let Some(ctx) = ckpt {
-            // The serial tier writes the whole block itself, so the
-            // order-independent checksum of the block buffer *is* the
-            // checksum of the bytes on disk (transposed or not — the
-            // multiset of elements is identical).
-            ctx.journal
-                .append_block(idx, blk, block_checksum(&block))
-                .map_err(OocError::Journal)?;
-            if let Some(cp) = ctx.crash {
-                if cp.stage == idx && cp.block == blk {
-                    match cp.mode {
-                        CrashMode::Abort => std::process::abort(),
-                        CrashMode::Halt => {
-                            return Err(OocError::CrashPoint {
-                                stage: stage.name,
-                                block: blk,
-                            })
-                        }
-                    }
-                }
-            }
-        }
+) -> Result<Option<OocError>, OocError> {
+    fault.end_attempt();
+    match (outcome, io.take_err()) {
+        (_, Some(crash @ OocError::CrashPoint { .. })) => Err(crash),
+        (Err(e), _) | (Ok(()), Some(e)) => Ok(Some(e)),
+        (Ok(()), None) => Ok(None),
     }
-    Ok(())
 }
 
 /// Runs one stage under the recovery ladder: pipelined attempts with
@@ -620,29 +573,19 @@ fn run_stage_recovered(
     retries: &mut u32,
     serial_fallbacks: &mut u32,
 ) -> Result<(), OocError> {
+    let attempt = |tier| {
+        let outcome = run_stage_attempt(stage, plan, cfg, buffer, tier, io, fault, pending, ckpt);
+        attempt_verdict(outcome, io, fault)
+    };
     let attempts = cfg.retry.max_attempts.max(1);
     let mut last = String::new();
     let mut backoff = cfg.retry.backoff_base;
-    for attempt in 0..attempts {
-        // A fresh attempt starts with a clean error slot; the stage
-        // rewrites its whole (pending) destination, so reruns are
-        // idempotent.
-        let _ = io.take_err();
-        let outcome = run_stage_pipelined(stage, plan, cfg, buffer, io, fault, pending, ckpt);
-        // An injected crash point is not a storage fault: retrying it
-        // away would defeat the drill. Surface it typed, immediately.
-        if io.halt.load(Ordering::Acquire) {
-            return Err(OocError::CrashPoint {
-                stage: stage.name,
-                block: cfg.checkpoint.crash.map_or(0, |cp| cp.block),
-            });
-        }
-        match outcome {
-            Ok(()) => match io.take_err() {
-                None => return Ok(()),
-                Some(msg) => last = msg,
-            },
-            Err(e) => last = e.to_string(),
+    for n in 0..attempts {
+        // Each attempt rewrites the stage's whole (pending)
+        // destination, so reruns are idempotent.
+        match attempt(Tier::Pipelined)? {
+            None => return Ok(()),
+            Some(e) => last = e.to_string(),
         }
         *retries += 1;
         mark_recovery(
@@ -650,10 +593,10 @@ fn run_stage_recovered(
             format!(
                 "ooc {} attempt {} failed: {last}; retrying",
                 stage.name,
-                attempt + 1
+                n + 1
             ),
         );
-        if attempt + 1 < attempts && !backoff.is_zero() {
+        if n + 1 < attempts && !backoff.is_zero() {
             std::thread::sleep(backoff.min(cfg.retry.backoff_cap));
             backoff = backoff
                 .saturating_mul(cfg.retry.backoff_factor.max(1))
@@ -665,23 +608,21 @@ fn run_stage_recovered(
         cfg,
         format!("ooc {} degraded to serial tier", stage.name),
     );
-    let _ = io.take_err();
-    run_stage_serial(stage, plan, buffer.half_elems(), io, fault, pending, ckpt).map_err(|e| {
-        match e {
-            // Typed crash/journal refusals are verdicts in their own
-            // right, not one more storage failure to roll up.
-            OocError::CrashPoint { .. } | OocError::Journal(_) => e,
-            e => OocError::StageExhausted {
-                stage: stage.name,
-                attempts: attempts + 1,
-                last: if last.is_empty() {
-                    e.to_string()
-                } else {
-                    format!("{e} (after pipelined: {last})")
-                },
+    match attempt(Tier::Serial)? {
+        None => Ok(()),
+        // A journal refusal is a verdict in its own right, not one more
+        // storage failure to roll up.
+        Some(e @ OocError::Journal(_)) => Err(e),
+        Some(e) => Err(OocError::StageExhausted {
+            stage: stage.name,
+            attempts: attempts + 1,
+            last: if last.is_empty() {
+                e.to_string()
+            } else {
+                format!("{e} (after pipelined: {last})")
             },
-        }
-    })
+        }),
+    }
 }
 
 /// Executes the planned transform: `input` is an `n1 × n2` store of the
@@ -1056,7 +997,7 @@ pub fn execute_resumable(
         wall_ns: wall0.elapsed().as_nanos() as u64,
         retries,
         serial_fallbacks,
-        faults_hit: io.faults_hit.load(Ordering::Relaxed),
+        faults_hit: u32::from(fault.fired()),
         resumed,
         skipped_blocks,
         reverified_blocks,

@@ -286,3 +286,60 @@ fn report_accounts_for_every_stage_byte() {
     assert!(out.report.wall_ns >= out.report.io_ns / 2);
     assert!(out.report.storage_gbs() > 0.0);
 }
+
+/// The serial tier end to end: with one pipelined attempt per stage, a
+/// single injected fault exhausts the ladder and the stage reruns on
+/// the serial tier. Every fault kind, stage and thread split must then
+/// finish bit-identical to the in-RAM four-step, with the failed
+/// attempt's partial traffic plus one full serial pass in the byte
+/// counts.
+#[test]
+fn serial_tier_finishes_bit_identical_after_an_exhausted_ladder() {
+    let n = 1usize << 10;
+    let x = random_complex(n, 31);
+    for kind in [OocFaultKind::Read, OocFaultKind::Write] {
+        // Five stages of 16 KiB each way, plus what the failed attempt
+        // moved before its fault at block 1 (32-element blocks): a read
+        // fault costs block 0's read; a write fault costs the reads of
+        // blocks 0-2 and the write of block 0.
+        let (want_read, want_written) = match kind {
+            OocFaultKind::Read => (82_432, 81_920),
+            OocFaultKind::Write => (83_456, 82_432),
+        };
+        for stage in 0..5 {
+            for (p_d, p_c) in [(1, 1), (2, 2)] {
+                let cell = format!("{kind:?} fault, stage {stage}, threads ({p_d}, {p_c})");
+                let cfg = OocConfig {
+                    budget_bytes: tight_budget(n),
+                    p_d,
+                    p_c,
+                    retry: bwfft_core::supervisor::RetryPolicy {
+                        max_attempts: 1,
+                        ..Default::default()
+                    },
+                    fault: Some(OocFault {
+                        stage,
+                        iter: 1,
+                        kind,
+                    }),
+                    ..OocConfig::default()
+                };
+                let p = plan(n, &cfg).unwrap();
+                let ws = Workspace::create().unwrap();
+                let input = store_input(&ws, &p, &x);
+                let output = OocStore::create(&ws.path("output.bin"), p.n2, p.n1, p.stride_cols_n1)
+                    .unwrap();
+                let report = execute(&p, &cfg, &ws, &input, &output)
+                    .unwrap_or_else(|e| panic!("{cell}: {e}"));
+                assert_eq!(report.serial_fallbacks, 1, "{cell}");
+                assert_eq!(report.faults_hit, 1, "{cell}");
+                assert_eq!(read_output(&output), four_step_in_ram(&p, &x), "{cell}");
+                assert_eq!(
+                    (report.bytes_read, report.bytes_written),
+                    (want_read, want_written),
+                    "{cell}"
+                );
+            }
+        }
+    }
+}

@@ -9,7 +9,8 @@
 
 use bwfft_ooc::{
     run_checkpointed, CheckpointConfig, CheckpointRun, CrashMode, CrashPoint, JournalError,
-    OocConfig, OocError, OracleConfig, ResumeError, ResumeVerify, JOURNAL_FILE,
+    OocConfig, OocError, OocFault, OocFaultKind, OracleConfig, ResumeError, ResumeVerify,
+    JOURNAL_FILE,
 };
 use std::fs::OpenOptions;
 use std::os::unix::fs::FileExt;
@@ -281,4 +282,36 @@ fn keep_flag_preserves_the_workspace_on_success() {
     assert!(dir.join(JOURNAL_FILE).exists());
     assert!(dir.join("output.bin").exists());
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn serial_tier_crash_then_resume_completes() {
+    // One pipelined attempt: the read fault at (1, 1) exhausts it before
+    // any stage-1 block is stored, so blocks 0..=5 are journaled by the
+    // serial tier, whose Halt crash at block 5 must come back typed.
+    let dir = test_dir("serial-crash");
+    let mut c = cfg(Some(CrashPoint {
+        stage: 1,
+        block: 5,
+        mode: CrashMode::Halt,
+    }));
+    c.retry.max_attempts = 1;
+    c.fault = Some(OocFault {
+        stage: 1,
+        iter: 1,
+        kind: OocFaultKind::Read,
+    });
+    match run_checkpointed(N, SEED, &c, &OracleConfig::default(), &fresh(&dir)) {
+        Err(OocError::CrashPoint {
+            stage: "dft-n1-twiddle",
+            block: 5,
+        }) => {}
+        other => panic!("expected a serial-tier CrashPoint, got {other:?}"),
+    }
+    let out = run_checkpointed(N, SEED, &cfg(None), &OracleConfig::default(), &resume(&dir))
+        .expect("resume after a serial-tier crash");
+    assert!(out.report.resumed);
+    assert_eq!(out.report.skipped_blocks, BLOCKS_PER_STAGE + 6);
+    assert_eq!(out.report.rework_blocks, BLOCKS_PER_STAGE - 6);
+    assert!(out.oracle.max_abs_err <= out.oracle.tol);
 }

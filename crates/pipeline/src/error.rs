@@ -28,6 +28,12 @@ pub enum ConfigError {
     },
     /// `pin_cpus` length differs from the thread count.
     PinListMismatch { pins: usize, threads: usize },
+    /// The fused schedule got other than one callback per role.
+    FusedRoles {
+        loaders: usize,
+        storers: usize,
+        computes: usize,
+    },
 }
 
 impl core::fmt::Display for ConfigError {
@@ -52,6 +58,15 @@ impl core::fmt::Display for ConfigError {
             ConfigError::PinListMismatch { pins, threads } => write!(
                 f,
                 "pin_cpus lists {pins} CPUs for {threads} threads (one CPU per thread)"
+            ),
+            ConfigError::FusedRoles {
+                loaders,
+                storers,
+                computes,
+            } => write!(
+                f,
+                "the fused schedule runs one loader, storer and compute callback \
+                 ({loaders} loaders, {storers} storers, {computes} computes)"
             ),
         }
     }

@@ -1,10 +1,13 @@
-//! The real multithreaded pipeline executor.
+//! The real executor: one stage's callbacks under two schedules.
 //!
-//! Runs the Table II schedule with OS threads: `p_d` data threads and
-//! `p_c` compute threads iterate the schedule in lockstep, separated by
-//! two barriers per step — a data-side barrier between the store and
-//! load phases (they recycle the same buffer half) and a global barrier
-//! closing the step (the paper's `#pragma omp barrier`).
+//! [`run_pipeline`] runs the Table II schedule with OS threads: `p_d`
+//! data threads and `p_c` compute threads iterate the schedule in
+//! lockstep, separated by two barriers per step — a data-side barrier
+//! between the store and load phases (they recycle the same buffer
+//! half) and a global barrier closing the step (the paper's
+//! `#pragma omp barrier`). [`run_fused`] runs the same callbacks on the
+//! calling thread, one block at a time, with no barriers — the
+//! no-overlap counterfactual.
 //!
 //! The executor is transform-agnostic: callers provide per-thread
 //! load/compute/store callbacks; `bwfft-core` instantiates them with
@@ -437,6 +440,13 @@ fn contained_phase(
 /// [`crate::fault::silence_injected_panic_reports`] keys on it.
 pub const INJECTED_FAULT_PREFIX: &str = "injected fault";
 
+/// The fault plan and trace sink of one run: the site lookups both
+/// schedules share, so [`FaultPlan`] has one interpretation.
+struct Injector<'r> {
+    fault: &'r FaultPlan,
+    trace: Option<&'r TraceCollector>,
+}
+
 /// Shared per-run context the worker loops borrow.
 struct RunCtx<'r> {
     buffer: &'r DoubleBuffer,
@@ -445,9 +455,8 @@ struct RunCtx<'r> {
     global_barrier: &'r AbortableBarrier,
     fail: &'r FailureCell,
     timeout: Option<Duration>,
-    fault: &'r FaultPlan,
+    faults: Injector<'r>,
     stage: usize,
-    trace: Option<&'r TraceCollector>,
     watchdog: Option<AdaptiveWatchdog>,
     /// Slowest observed step, ns (0 = nothing measured yet). Feeds the
     /// adaptive watchdog so stall detection uses measured, not assumed,
@@ -463,7 +472,7 @@ struct RunCtx<'r> {
     cancel: Option<&'r CancelToken>,
 }
 
-impl RunCtx<'_> {
+impl Injector<'_> {
     /// Sleeps if a stall fault targets `(role, thread, phase)` at block
     /// `blk`, recording the injection as a trace mark.
     fn maybe_stall(&self, role: Role, thread: usize, blk: usize, phase: FaultPhase) {
@@ -526,7 +535,9 @@ impl RunCtx<'_> {
             share[0] = Complex64::new(v.re + 1.0, v.im - 1.0);
         }
     }
+}
 
+impl RunCtx<'_> {
     /// Canary sweep at a handoff barrier (thread 0 of the data role
     /// only — one sweep per step is enough and keeps the cost O(1)).
     /// Returns false after tripping the failure cell.
@@ -606,7 +617,7 @@ impl RunCtx<'_> {
     /// Pin the calling thread per config, honoring `deny_pinning`.
     fn pin(&self, pins: &Option<Vec<usize>>, slot: usize) -> Option<PinStatus> {
         let cpu = pins.as_ref().map(|p| p[slot])?;
-        Some(if self.fault.deny_pinning {
+        Some(if self.faults.fault.deny_pinning {
             PinStatus::Failed { cpu, errno: 0 }
         } else {
             affinity::pin_current_thread(cpu)
@@ -618,13 +629,14 @@ impl RunCtx<'_> {
 /// barrier per step). Returns when the schedule completes or the run
 /// aborts.
 fn data_thread_loop(ctx: &RunCtx<'_>, j: usize, load: &mut LoadFn<'_>, store: &mut StoreFn<'_>, load_range: core::ops::Range<usize>) {
-    let mut tracer = ThreadTracer::new(ctx.trace, TraceRole::Data, j, ctx.stage);
+    let faults = &ctx.faults;
+    let mut tracer = ThreadTracer::new(faults.trace, TraceRole::Data, j, ctx.stage);
     for step in ctx.schedule.steps() {
         if ctx.fail.is_aborted() || !ctx.cancel_ok(step.step) {
             return;
         }
         if let Some(blk) = step.store {
-            ctx.maybe_stall(Role::Data, j, blk, FaultPhase::Store);
+            faults.maybe_stall(Role::Data, j, blk, FaultPhase::Store);
             // Safety: between the previous global barrier and the data
             // barrier below, half `blk % 2` is only read (by data
             // threads); compute threads work on the other half
@@ -645,7 +657,7 @@ fn data_thread_loop(ctx: &RunCtx<'_>, j: usize, load: &mut LoadFn<'_>, store: &m
                     return;
                 }
             }
-            let inject = ctx.injects_panic(Role::Data, j, blk, FaultPhase::Store);
+            let inject = faults.injects_panic(Role::Data, j, blk, FaultPhase::Store);
             let span = tracer.start();
             let ok = contained_phase(ctx.fail, Role::Data, j, blk, || {
                 if inject {
@@ -679,14 +691,14 @@ fn data_thread_loop(ctx: &RunCtx<'_>, j: usize, load: &mut LoadFn<'_>, store: &m
             return;
         }
         if let Some(blk) = step.load {
-            ctx.maybe_stall(Role::Data, j, blk, FaultPhase::Load);
+            faults.maybe_stall(Role::Data, j, blk, FaultPhase::Load);
             let range = load_range.clone();
             // Safety: load shares are disjoint across data threads; all
             // stores of this half completed at the data barrier; compute
             // is on the other half.
             let share =
                 unsafe { ctx.buffer.half_range_mut(PipelineStep::half_of(blk), range.clone()) };
-            let inject = ctx.injects_panic(Role::Data, j, blk, FaultPhase::Load);
+            let inject = faults.injects_panic(Role::Data, j, blk, FaultPhase::Load);
             let span = tracer.start();
             let ok = contained_phase(ctx.fail, Role::Data, j, blk, || {
                 if inject {
@@ -705,7 +717,7 @@ fn data_thread_loop(ctx: &RunCtx<'_>, j: usize, load: &mut LoadFn<'_>, store: &m
             if let Some(ledger) = ctx.ledger {
                 ledger.loaded[blk].add(block_checksum(share));
             }
-            ctx.maybe_corrupt(Role::Data, j, blk, FaultPhase::Load, share);
+            faults.maybe_corrupt(Role::Data, j, blk, FaultPhase::Load, share);
         }
         let budget = ctx.effective_timeout();
         let span = tracer.start();
@@ -732,7 +744,8 @@ fn data_thread_loop(ctx: &RunCtx<'_>, j: usize, load: &mut LoadFn<'_>, store: &m
 
 /// The compute-thread worker loop (compute, global barrier per step).
 fn compute_thread_loop(ctx: &RunCtx<'_>, j: usize, compute: &mut ComputeFn<'_>, compute_range: core::ops::Range<usize>) {
-    let mut tracer = ThreadTracer::new(ctx.trace, TraceRole::Compute, j, ctx.stage);
+    let faults = &ctx.faults;
+    let mut tracer = ThreadTracer::new(faults.trace, TraceRole::Compute, j, ctx.stage);
     let adaptive = ctx.watchdog.is_some();
     for step in ctx.schedule.steps() {
         if ctx.fail.is_aborted() || !ctx.cancel_ok(step.step) {
@@ -749,7 +762,7 @@ fn compute_thread_loop(ctx: &RunCtx<'_>, j: usize, compute: &mut ComputeFn<'_>, 
             None
         };
         if let Some(blk) = step.compute {
-            ctx.maybe_stall(Role::Compute, j, blk, FaultPhase::Compute);
+            faults.maybe_stall(Role::Compute, j, blk, FaultPhase::Compute);
             let range = compute_range.clone();
             // Safety: compute shares are disjoint across compute threads
             // and the compute half is untouched by data threads this
@@ -771,7 +784,7 @@ fn compute_thread_loop(ctx: &RunCtx<'_>, j: usize, compute: &mut ComputeFn<'_>, 
                     return;
                 }
             }
-            let inject = ctx.injects_panic(Role::Compute, j, blk, FaultPhase::Compute);
+            let inject = faults.injects_panic(Role::Compute, j, blk, FaultPhase::Compute);
             let span = tracer.start();
             let ok = contained_phase(ctx.fail, Role::Compute, j, blk, || {
                 if inject {
@@ -789,7 +802,7 @@ fn compute_thread_loop(ctx: &RunCtx<'_>, j: usize, compute: &mut ComputeFn<'_>, 
             if let Some(ledger) = ctx.ledger {
                 ledger.computed[blk].add(block_checksum(share));
             }
-            ctx.maybe_corrupt(Role::Compute, j, blk, FaultPhase::Compute, share);
+            faults.maybe_corrupt(Role::Compute, j, blk, FaultPhase::Compute, share);
         }
         let budget = ctx.effective_timeout();
         let span = tracer.start();
@@ -907,9 +920,11 @@ pub fn run_pipeline(
         global_barrier: &global_barrier,
         fail: &fail,
         timeout: cfg.iter_timeout,
-        fault: cfg.fault.as_ref().unwrap_or(&empty_fault),
+        faults: Injector {
+            fault: cfg.fault.as_ref().unwrap_or(&empty_fault),
+            trace: cfg.trace.as_deref(),
+        },
         stage: cfg.stage,
-        trace: cfg.trace.as_deref(),
         watchdog: cfg.adaptive_watchdog,
         epoch_ns: &epoch_ns,
         integrity: cfg.integrity,
@@ -979,6 +994,96 @@ pub fn run_pipeline(
     }
 }
 
+/// The second schedule over the same callbacks: the calling thread
+/// runs load → compute → store on one block at a time in `block` (the
+/// `b`-element scratch), with no double buffer and no barriers — the
+/// paper's no-overlap counterfactual of the pipelined stage, and
+/// bitwise the same arithmetic as [`run_pipeline`] by construction.
+///
+/// Takes exactly one loader, storer and compute callback (anything else
+/// is [`ConfigError::FusedRoles`]) and calls them with offset 0 and the
+/// whole block. The cancel token is polled before every block, and
+/// Data / Compute thread-0 spans are recorded under `cfg.trace` and
+/// `cfg.stage`. The fault plan is read with thread-0 semantics — this
+/// thread is every role's thread 0: a stall site sleeps before its
+/// phase, and a panic site is contained and returned as
+/// [`PipelineError::WorkerPanicked`] naming the fused executor.
+/// Corruption sites are ignored: they model stray writes between
+/// handoffs, and there are none here. Integrity guards, watchdogs and
+/// pins do not apply.
+pub fn run_fused(
+    block: &mut [Complex64],
+    cfg: &PipelineConfig,
+    callbacks: PipelineCallbacks,
+) -> Result<PipelineReport, PipelineError> {
+    let PipelineCallbacks {
+        loaders,
+        storers,
+        computes,
+    } = callbacks;
+    let roles = ConfigError::FusedRoles {
+        loaders: loaders.len(),
+        storers: storers.len(),
+        computes: computes.len(),
+    };
+    let (Ok([mut load]), Ok([mut store]), Ok([mut compute])) = (
+        <[LoadFn; 1]>::try_from(loaders),
+        <[StoreFn; 1]>::try_from(storers),
+        <[ComputeFn; 1]>::try_from(computes),
+    ) else {
+        return Err(roles.into());
+    };
+    if cfg.iters == 0 {
+        return Err(ConfigError::ZeroIters.into());
+    }
+    let empty_fault = FaultPlan::none();
+    let faults = Injector {
+        fault: cfg.fault.as_ref().unwrap_or(&empty_fault),
+        trace: cfg.trace.as_deref(),
+    };
+    let fail = FailureCell::new();
+    let mut tracers = [TraceRole::Data, TraceRole::Compute]
+        .map(|role| ThreadTracer::new(faults.trace, role, 0, cfg.stage));
+    // One phase: its thread-0 stall and panic sites fire first, then
+    // the contained, traced task. False after tripping `fail`.
+    let mut phase = |phase: FaultPhase, blk: usize, task: &mut dyn FnMut()| {
+        let (role, traced, tracer) = match phase {
+            FaultPhase::Load => (Role::Data, Phase::Load, 0),
+            FaultPhase::Compute => (Role::Compute, Phase::Compute, 1),
+            FaultPhase::Store => (Role::Data, Phase::Store, 0),
+        };
+        faults.maybe_stall(role, 0, blk, phase);
+        let inject_panic = faults.injects_panic(role, 0, blk, phase);
+        let span = tracers[tracer].start();
+        let ok = contained_phase(&fail, role, 0, blk, || {
+            if inject_panic {
+                panic!("{INJECTED_FAULT_PREFIX}: fused executor at iteration {blk} ({phase:?})");
+            }
+            task();
+        });
+        tracers[tracer].finish(span, traced, blk);
+        ok
+    };
+    for blk in 0..cfg.iters {
+        if let Some(reason) = cfg.cancel.as_ref().and_then(CancelToken::fired) {
+            return Err(PipelineError::Cancelled { iter: blk, reason });
+        }
+        let done = phase(FaultPhase::Load, blk, &mut || load(blk, 0, block))
+            && phase(FaultPhase::Compute, blk, &mut || compute(blk, 0, block))
+            && phase(FaultPhase::Store, blk, &mut || store(blk, block));
+        if !done {
+            break;
+        }
+    }
+    match fail.into_error() {
+        Some(err) => Err(err),
+        None => Ok(PipelineReport {
+            blocks: cfg.iters,
+            ..PipelineReport::default()
+        }),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1004,63 +1109,68 @@ mod tests {
         integrity: IntegrityConfig,
     ) {
         // Pipeline that computes out[block] = 2·x[block] (identity
-        // permutation on store) — verifies plumbing and scheduling.
+        // permutation on store) — verifies plumbing and scheduling. The
+        // fused schedule over the same callbacks must agree bitwise.
         let n = blocks * b;
         let x = random_complex(n, 99);
+        let cfg = PipelineConfig {
+            iters: blocks,
+            integrity,
+            ..PipelineConfig::default()
+        };
         let out = Out(Mutex::new(vec![Complex64::ZERO; n]));
-        let buffer = DoubleBuffer::new(b);
-        let x_ref = &x;
-        let out_ref = &out;
-
-        let loaders: Vec<LoadFn> = (0..p_d)
-            .map(|_| {
-                Box::new(move |blk: usize, off: usize, share: &mut [Complex64]| {
-                    let start = blk * b + off;
-                    share.copy_from_slice(&x_ref[start..start + share.len()]);
-                }) as LoadFn
-            })
-            .collect();
-        let storers: Vec<StoreFn> = (0..p_d)
-            .map(|j| {
-                Box::new(move |blk: usize, half: &[Complex64]| {
-                    // Thread j writes its contiguous quarter.
-                    let ranges = partition(b, p_d);
-                    let r = ranges[j].clone();
-                    let mut guard = out_ref.0.lock().unwrap_or_else(|e| e.into_inner());
-                    guard[blk * b + r.start..blk * b + r.end].copy_from_slice(&half[r]);
-                }) as StoreFn
-            })
-            .collect();
-        let computes: Vec<ComputeFn> = (0..p_c)
-            .map(|_| {
-                Box::new(move |_blk: usize, _off: usize, share: &mut [Complex64]| {
-                    for v in share.iter_mut() {
-                        *v = *v * 2.0;
-                    }
-                }) as ComputeFn
-            })
-            .collect();
-
-        let report = run_pipeline(
-            &buffer,
-            &PipelineConfig {
-                iters: blocks,
-                integrity,
-                ..PipelineConfig::default()
-            },
-            PipelineCallbacks {
-                loaders,
-                storers,
-                computes,
-            },
-        )
-        .expect("fault-free pipeline must succeed");
+        let callbacks = doubling_callbacks(&x, &out, b, p_d, p_c);
+        let report = run_pipeline(&DoubleBuffer::new(b), &cfg, callbacks)
+            .expect("fault-free pipeline must succeed");
         assert_eq!(report.blocks, blocks);
         assert!(report.pin_status.is_empty());
 
         let got = out.0.into_inner().unwrap_or_else(|e| e.into_inner());
         for (i, (g, e)) in got.iter().zip(&x).enumerate() {
             assert_eq!(*g, *e * 2.0, "element {i}");
+        }
+
+        let fused = Out(Mutex::new(vec![Complex64::ZERO; n]));
+        let mut block = vec![Complex64::ZERO; b];
+        let report = run_fused(&mut block, &cfg, doubling_callbacks(&x, &fused, b, 1, 1))
+            .expect("fault-free fused run must succeed");
+        assert_eq!(report.blocks, blocks);
+        assert_eq!(fused.0.into_inner().unwrap_or_else(|e| e.into_inner()), got);
+    }
+
+    /// Doubling callbacks over `x` (one per role) writing into `out`.
+    fn doubling_callbacks<'a>(
+        x: &'a [Complex64],
+        out: &'a Out,
+        b: usize,
+        p_d: usize,
+        p_c: usize,
+    ) -> PipelineCallbacks<'a> {
+        let ranges = partition(b, p_d);
+        PipelineCallbacks {
+            loaders: (0..p_d)
+                .map(|_| {
+                    Box::new(move |blk: usize, off: usize, share: &mut [Complex64]| {
+                        share.copy_from_slice(&x[blk * b + off..blk * b + off + share.len()]);
+                    }) as LoadFn
+                })
+                .collect(),
+            storers: ranges
+                .into_iter()
+                .map(|r| {
+                    Box::new(move |blk: usize, half: &[Complex64]| {
+                        let mut guard = out.0.lock().unwrap_or_else(|e| e.into_inner());
+                        guard[blk * b + r.start..blk * b + r.end].copy_from_slice(&half[r.clone()]);
+                    }) as StoreFn
+                })
+                .collect(),
+            computes: (0..p_c)
+                .map(|_| {
+                    Box::new(|_: usize, _: usize, share: &mut [Complex64]| {
+                        share.iter_mut().for_each(|v| *v = *v * 2.0);
+                    }) as ComputeFn
+                })
+                .collect(),
         }
     }
 
@@ -1870,6 +1980,116 @@ mod tests {
                 .map(|r| block_checksum(&xs[r]))
                 .fold(0u64, u64::wrapping_add);
             assert_eq!(split, whole, "parts={parts}");
+        }
+    }
+
+    #[test]
+    fn fused_schedule_takes_one_callback_per_role() {
+        let mut block = vec![Complex64::ZERO; 16];
+        for (p_d, p_c) in [(0, 1), (1, 0), (2, 1), (1, 2)] {
+            let err = run_fused(
+                &mut block,
+                &PipelineConfig::default(),
+                noop_callbacks(p_d, p_c),
+            )
+            .unwrap_err();
+            assert_eq!(
+                err,
+                PipelineError::Config(ConfigError::FusedRoles {
+                    loaders: p_d,
+                    storers: p_d,
+                    computes: p_c,
+                })
+            );
+        }
+        let mut callbacks = noop_callbacks(1, 1);
+        callbacks.storers.clear();
+        assert!(matches!(
+            run_fused(&mut block, &PipelineConfig::default(), callbacks),
+            Err(PipelineError::Config(ConfigError::FusedRoles {
+                storers: 0,
+                ..
+            }))
+        ));
+        let zero = PipelineConfig {
+            iters: 0,
+            ..PipelineConfig::default()
+        };
+        assert_eq!(
+            run_fused(&mut block, &zero, noop_callbacks(1, 1)).unwrap_err(),
+            PipelineError::Config(ConfigError::ZeroIters)
+        );
+    }
+
+    #[test]
+    fn fused_schedule_runs_load_compute_store_per_block() {
+        let log = Mutex::new(Vec::<(char, usize)>::new());
+        let log_ref = &log;
+        let push = move |c: char, blk: usize| {
+            log_ref
+                .lock()
+                .unwrap_or_else(|e| e.into_inner())
+                .push((c, blk));
+        };
+        let mut block = vec![Complex64::ZERO; 8];
+        run_fused(
+            &mut block,
+            &PipelineConfig {
+                iters: 3,
+                ..PipelineConfig::default()
+            },
+            PipelineCallbacks {
+                loaders: vec![Box::new(move |blk, _, _| push('L', blk))],
+                storers: vec![Box::new(move |blk, _| push('S', blk))],
+                computes: vec![Box::new(move |blk, _, _| push('C', blk))],
+            },
+        )
+        .unwrap();
+        let events = log.into_inner().unwrap();
+        let want: Vec<_> = (0..3)
+            .flat_map(|b| [('L', b), ('C', b), ('S', b)])
+            .collect();
+        assert_eq!(events, want);
+    }
+
+    #[test]
+    fn fused_schedule_records_thread0_spans_for_its_stage() {
+        use bwfft_trace::TraceEvent;
+        let collector = Arc::new(TraceCollector::new());
+        let mut block = vec![Complex64::ZERO; 16];
+        run_fused(
+            &mut block,
+            &PipelineConfig {
+                iters: 3,
+                stage: 5,
+                trace: Some(Arc::clone(&collector)),
+                ..PipelineConfig::default()
+            },
+            noop_callbacks(1, 1),
+        )
+        .unwrap();
+        let spans: Vec<_> = collector
+            .take_events()
+            .into_iter()
+            .filter_map(|e| match e {
+                TraceEvent::Span(s) => Some(s),
+                TraceEvent::Mark(_) => None,
+            })
+            .collect();
+        assert_eq!(
+            spans.len(),
+            9,
+            "load, compute and store for each of 3 blocks"
+        );
+        assert!(spans.iter().all(|s| s.stage == 5 && s.thread == 0));
+        for (phase, role) in [
+            (Phase::Load, TraceRole::Data),
+            (Phase::Compute, TraceRole::Compute),
+            (Phase::Store, TraceRole::Data),
+        ] {
+            let of_phase: Vec<_> = spans.iter().filter(|s| s.phase == phase).collect();
+            assert_eq!(of_phase.len(), 3, "{phase:?}");
+            assert!(of_phase.iter().all(|s| s.role == role), "{phase:?}");
         }
     }
 

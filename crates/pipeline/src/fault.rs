@@ -5,7 +5,9 @@
 //! guards, degradation policy) can be exercised deterministically from
 //! tests and from the CLI. The real executor consumes
 //! [`FaultPlan::panic_at`], [`FaultPlan::stall`],
-//! [`FaultPlan::corrupt_at`] and [`FaultPlan::deny_pinning`]; the
+//! [`FaultPlan::corrupt_at`] and [`FaultPlan::deny_pinning`] — the fused
+//! schedule reads the panic and stall sites with thread-0 semantics and
+//! ignores the rest (see [`crate::exec::run_fused`]); the
 //! allocation budget [`FaultPlan::fail_alloc_over`] is honoured by the
 //! core executors' buffer allocations; the simulator additionally
 //! honours the bandwidth deratings.

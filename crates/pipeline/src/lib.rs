@@ -5,8 +5,9 @@
 //! prologue / steady-state / epilogue, a [`roles`] module that splits
 //! hardware threads into data-threads (the soft DMA engines) and
 //! compute-threads and pairs them onto cores (§IV-A), an LLC-sized
-//! [`buffer`], and a real multithreaded [`exec`] that runs the schedule
-//! with actual OS threads and barriers.
+//! [`buffer`], and a real [`exec`] that runs a stage's callbacks either
+//! on the schedule with actual OS threads and barriers or fused on the
+//! calling thread.
 
 //!
 //! # Fault tolerance
@@ -34,7 +35,7 @@ pub use buffer::{split_disjoint, BufferError, DoubleBuffer};
 pub use cancel::{CancelReason, CancelToken};
 pub use error::{ConfigError, IntegrityKind, PipelineError};
 pub use exec::{
-    block_checksum, run_pipeline, AdaptiveWatchdog, IntegrityConfig, PipelineCallbacks,
+    block_checksum, run_fused, run_pipeline, AdaptiveWatchdog, IntegrityConfig, PipelineCallbacks,
     PipelineConfig, PipelineReport,
 };
 pub use fault::{FaultPhase, FaultPlan, FaultSite, StallFault};

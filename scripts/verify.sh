@@ -28,6 +28,19 @@ else
   cargo test --workspace -q -- --include-ignored
 fi
 
+echo "== hostbench (benchmark crate builds; its contract tests pass) =="
+# hostbench/ is its own workspace: the root build never compiles it.
+# It imports execute_with, execute_fused, execute_reference,
+# Supervisor::run, run_pipeline and the callback types, and its
+# contract tests check the bitwise replay, fused and supervised outputs,
+# so a library change that breaks either fails here, not only when the
+# benchmark runs. CI runs it as its own step, so --fast skips it.
+if [ "$fast" -eq 1 ]; then
+  echo "hostbench: skipped (--fast; CI runs it as its own step)"
+else
+  cargo test --release -q --manifest-path hostbench/Cargo.toml
+fi
+
 echo "== tuner smoke (cache hit + wisdom reuse) =="
 wisdom="$(mktemp -t bwfft-wisdom.XXXXXX)"
 rm -f "$wisdom"
