@@ -30,6 +30,7 @@ use crate::exec_sim::{simulate_generic_stage, GenericStage, SimOptions, StageCos
 use crate::metrics;
 use crate::plan::PlanError;
 use bwfft_kernels::batch::BatchFft;
+use bwfft_kernels::twiddle::FourStepTwiddles;
 use bwfft_kernels::Direction;
 use bwfft_machine::spec::MachineSpec;
 use bwfft_machine::stats::PerfReport;
@@ -168,20 +169,6 @@ impl Fft1dLargePlan {
     }
 }
 
-/// The twiddle value applied to global element `g` (in the `n1 × n2`
-/// row-major layout of stage 1): `ω_N^{i·j}` with `i = g / n2`,
-/// `j = g mod n2`, conjugated for inverse transforms.
-#[inline]
-fn twiddle_at(g: usize, n1: usize, n2: usize, dir: Direction) -> Complex64 {
-    let i = g / n2;
-    let j = g % n2;
-    let w = Complex64::root_of_unity((i as u64 * j as u64) as i64, (n1 * n2) as u64);
-    match dir {
-        Direction::Forward => w,
-        Direction::Inverse => w.conj(),
-    }
-}
-
 /// Executes the plan: `data` is transformed in place; `work` is a
 /// same-sized scratch array.
 pub fn execute(
@@ -208,6 +195,8 @@ pub fn execute(
     let perms = plan.stage_perms();
     let buffer = DoubleBuffer::new(b);
     let (n1, n2, mu, dir) = (plan.n1, plan.n2, plan.mu, plan.dir);
+    // Stage 1's diagonal over the `n1 × n2` row-major layout.
+    let twiddles = &FourStepTwiddles::try_new(n1, n2, dir)?;
     run_stages(data, work, perms.len(), |s, src, dst| {
         // 0 = decimation, 1 = rows + twiddle, 2 = lanes.
         let stage_kind = if plan.decimate_input { s } else { s + 1 };
@@ -219,10 +208,11 @@ pub fn execute(
                     let mut fft = BatchFft::new(n2, 1, dir);
                     Box::new(move |blk: usize, off: usize, share: &mut [Complex64]| {
                         fft.run(share);
-                        // Fold in the Cooley–Tukey twiddle diagonal.
-                        let base = blk * b + off;
-                        for (t, v) in share.iter_mut().enumerate() {
-                            *v *= twiddle_at(base + t, n1, n2, dir);
+                        // Fold in the Cooley–Tukey twiddle diagonal; a
+                        // share is whole rows (`compute_unit = n2`).
+                        let row0 = (blk * b + off) / n2;
+                        for (i, row) in share.chunks_mut(n2).enumerate() {
+                            twiddles.apply_row(row0 + i, row);
                         }
                     })
                 }

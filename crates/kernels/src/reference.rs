@@ -10,16 +10,22 @@ use bwfft_num::Complex64;
 /// `ω = e^{∓2πi/n}` per [`Direction`].
 pub fn dft_naive(x: &[Complex64], dir: Direction) -> Vec<Complex64> {
     let n = x.len();
+    // `root_of_unity` reduces its exponent mod n before evaluating, so
+    // the n roots, evaluated once, are bitwise the per-term values.
+    let roots: Vec<Complex64> = (0..n)
+        .map(|m| {
+            let w = Complex64::root_of_unity(m as i64, n as u64);
+            match dir {
+                Direction::Forward => w,
+                Direction::Inverse => w.conj(),
+            }
+        })
+        .collect();
     let mut y = vec![Complex64::ZERO; n];
     for (k, yk) in y.iter_mut().enumerate() {
         let mut acc = Complex64::ZERO;
         for (l, xl) in x.iter().enumerate() {
-            let w = Complex64::root_of_unity((k * l) as i64, n as u64);
-            let w = match dir {
-                Direction::Forward => w,
-                Direction::Inverse => w.conj(),
-            };
-            acc += *xl * w;
+            acc += *xl * roots[k * l % n];
         }
         *yk = acc;
     }
@@ -98,6 +104,27 @@ mod tests {
                 assert!((v.re - n as f64).abs() < 1e-9 && v.im.abs() < 1e-9);
             } else {
                 assert!(v.abs() < 1e-9, "bin {k} should be empty, got {v}");
+            }
+        }
+    }
+
+    #[test]
+    fn root_table_matches_per_term_roots_bitwise() {
+        for (n, dir) in [(12, Direction::Forward), (64, Direction::Inverse)] {
+            let x = random_complex(n, 10);
+            let y = dft_naive(&x, dir);
+            for (k, yk) in y.iter().enumerate() {
+                let mut acc = Complex64::ZERO;
+                for (l, xl) in x.iter().enumerate() {
+                    let w = Complex64::root_of_unity((k * l) as i64, n as u64);
+                    let w = match dir {
+                        Direction::Forward => w,
+                        Direction::Inverse => w.conj(),
+                    };
+                    acc += *xl * w;
+                }
+                assert_eq!(yk.re.to_bits(), acc.re.to_bits());
+                assert_eq!(yk.im.to_bits(), acc.im.to_bits());
             }
         }
     }

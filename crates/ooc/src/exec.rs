@@ -32,6 +32,7 @@ use crate::plan::{
 };
 use crate::store::{OocStore, ELEM_BYTES};
 use bwfft_kernels::batch::BatchFft;
+use bwfft_kernels::twiddle::FourStepTwiddles;
 use bwfft_kernels::Direction;
 use bwfft_num::alloc::{check_alloc_budget, try_vec_zeroed};
 use bwfft_num::Complex64;
@@ -104,6 +105,11 @@ impl OocReport {
 
 /// The four-step twiddle `ω_N^{a₂·k₁}` (conjugated for inverse), with
 /// the exponent reduced exactly so huge `n` loses no precision.
+///
+/// This is the exact per-element reference that
+/// [`crate::oracle::verify`] and the twiddle-table tests compare
+/// against; no executor calls it. They apply the same diagonal through
+/// one [`FourStepTwiddles`] table per run.
 pub fn twiddle(a2: usize, k1: usize, n: usize, dir: Direction) -> Complex64 {
     let t = ((a2 as u128 * k1 as u128) % n as u128) as u64;
     let w = Complex64::root_of_unity(t as i64, n as u64);
@@ -113,10 +119,13 @@ pub fn twiddle(a2: usize, k1: usize, n: usize, dir: Direction) -> Complex64 {
     }
 }
 
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum StageKind {
+#[derive(Clone, Copy)]
+enum StageKind<'a> {
     Transpose,
-    Dft { twiddle: bool },
+    /// Row DFTs, then the twiddle diagonal when the stage applies one.
+    Dft {
+        twiddles: Option<&'a FourStepTwiddles>,
+    },
 }
 
 struct Stage<'a> {
@@ -124,7 +133,7 @@ struct Stage<'a> {
     name: &'static str,
     src: &'a OocStore,
     dst: &'a OocStore,
-    kind: StageKind,
+    kind: StageKind<'a>,
 }
 
 /// Counters and the first-failure slot shared by the per-thread I/O
@@ -491,22 +500,17 @@ fn run_stage_attempt(
     for _ in 0..p_c {
         match stage.kind {
             StageKind::Transpose => computes.push(Box::new(|_, _, _| {})),
-            StageKind::Dft { twiddle: tw } => {
+            StageKind::Dft { twiddles } => {
                 let mut kernel = BatchFft::new(c, 1, plan.dir);
-                let n = plan.n;
-                let dir = plan.dir;
                 computes.push(Box::new(move |blk, off, share| {
                     if share.is_empty() || io.has_err() {
                         return;
                     }
                     kernel.run(share);
-                    if tw {
+                    if let Some(tw) = twiddles {
                         let row0 = pending[blk] * br + off / c;
                         for (j, row) in share.chunks_mut(c).enumerate() {
-                            let a2 = row0 + j;
-                            for (k1, v) in row.iter_mut().enumerate() {
-                                *v *= twiddle(a2, k1, n, dir);
-                            }
+                            tw.apply_row(row0 + j, row);
                         }
                     }
                 }));
@@ -743,6 +747,10 @@ pub fn execute_resumable(
         Some(cfg.budget_bytes),
     )?;
     let buffer = DoubleBuffer::try_new(plan.half_elems)?;
+    // Stage 1's diagonal over the `n2 × n1` matrix `t1`: built once,
+    // shared by every attempt and tier. Its `16·(n1 + n2)` bytes sit
+    // inside the planner's per-half charge (see `crate::plan`).
+    let twiddles = FourStepTwiddles::try_new(plan.n2, plan.n1, plan.dir)?;
 
     // On resume, scratch the journal credits with completed work must
     // still exist — `open_or_create` would silently hand back zeroed
@@ -789,7 +797,9 @@ pub fn execute_resumable(
             name: STAGE_NAMES[1],
             src: t1,
             dst: s1,
-            kind: StageKind::Dft { twiddle: true },
+            kind: StageKind::Dft {
+                twiddles: Some(&twiddles),
+            },
         },
         Stage {
             index: 2,
@@ -803,7 +813,7 @@ pub fn execute_resumable(
             name: STAGE_NAMES[3],
             src: t2,
             dst: s2,
-            kind: StageKind::Dft { twiddle: false },
+            kind: StageKind::Dft { twiddles: None },
         },
         Stage {
             index: 4,
@@ -1022,10 +1032,9 @@ pub fn four_step_in_ram(plan: &OocPlan, x: &[Complex64]) -> Vec<Complex64> {
     // dft-n1-twiddle over rows of length n1
     let mut k = BatchFft::new(n1, 1, plan.dir);
     k.run(&mut a);
-    for a2 in 0..n2 {
-        for k1 in 0..n1 {
-            a[a2 * n1 + k1] *= twiddle(a2, k1, plan.n, plan.dir);
-        }
+    let twiddles = FourStepTwiddles::new(n2, n1, plan.dir);
+    for (a2, row) in a.chunks_mut(n1).enumerate() {
+        twiddles.apply_row(a2, row);
     }
     // transpose-mid: n2×n1 → n1×n2
     let mut b = vec![Complex64::ZERO; plan.n];

@@ -8,10 +8,13 @@
 //! Budget accounting is deliberately coarse and conservative: a half
 //! of `H` elements charges `64·H` bytes — the two 16-byte-element
 //! halves (`32·H`) plus headroom for the buffer canaries and the
-//! per-thread transpose gather scratch, which are both small multiples
-//! of a block row. The planner takes the largest power-of-two `H`
-//! under that charge, clamped to `[max(n1, n2), n]` so every stage
-//! moves whole rows and no block exceeds the matrix.
+//! per-thread transpose gather scratch (both small multiples of a
+//! block row) and for the four-step twiddle table: `n1 + n2` roots,
+//! `16·(n1 + n2)` bytes (32 KiB at `n = 2^20`). The planner takes the
+//! largest power-of-two `H` under that charge, clamped to
+//! `[max(n1, n2), n]` so every stage moves whole rows and no block
+//! exceeds the matrix. Since `H ≥ max(n1, n2)`, the halves and the
+//! table together take `32·H + 16·(n1 + n2) ≤ 64·H` bytes.
 
 use crate::error::OocError;
 use crate::store::padded_stride;
@@ -252,6 +255,27 @@ mod tests {
                 assert_eq!(needed, 256 * BYTES_PER_HALF_ELEM);
             }
             other => panic!("expected BudgetTooSmall, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn halves_and_twiddle_table_fit_the_budget() {
+        use crate::store::ELEM_BYTES;
+        for e in 2..=24 {
+            let n = 1usize << e;
+            let tight = (n >> (e / 2)) * BYTES_PER_HALF_ELEM;
+            for budget_bytes in [tight, 4 * tight] {
+                let p = plan(
+                    n,
+                    &OocConfig {
+                        budget_bytes,
+                        ..OocConfig::default()
+                    },
+                )
+                .unwrap();
+                let used = 2 * ELEM_BYTES * p.half_elems + ELEM_BYTES * (p.n1 + p.n2);
+                assert!(used <= budget_bytes, "n=2^{e}: {used} > {budget_bytes}");
+            }
         }
     }
 

@@ -9,9 +9,11 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use bwfft_kernels::reference::dft_naive;
+use bwfft_kernels::twiddle::FourStepTwiddles;
 use bwfft_kernels::Direction;
 use bwfft_num::signal::random_complex;
 use bwfft_num::Complex64;
+use bwfft_ooc::exec::twiddle;
 use bwfft_ooc::plan::BYTES_PER_HALF_ELEM;
 use bwfft_ooc::{
     execute, four_step_in_ram, plan, verify, OocConfig, OocError, OocFault, OocFaultKind,
@@ -110,6 +112,27 @@ fn forward_then_inverse_recovers_the_signal() {
         // Unnormalized kernels: inverse(forward(x)) = n·x.
         let err = (got.scale(1.0 / n as f64) - *orig).abs();
         assert!(err < 1e-10, "sample {a}: |Δ| = {err:.3e}");
+    }
+}
+
+#[test]
+fn stage_one_table_tracks_the_exact_oracle_twiddle() {
+    // Row a2 of the n2×n1 stage-1 matrix, column k1, against the
+    // oracle's exact `twiddle(a2, k1)`: both splits (n1 = n2 and
+    // n1 = 2·n2), both directions, every entry.
+    for e in [9usize, 10] {
+        let p = plan(1 << e, &OocConfig::default()).unwrap();
+        for dir in [Direction::Forward, Direction::Inverse] {
+            let table = FourStepTwiddles::new(p.n2, p.n1, dir);
+            for a2 in 0..p.n2 {
+                let mut row = vec![Complex64::ONE; p.n1];
+                table.apply_row(a2, &mut row);
+                for (k1, w) in row.iter().enumerate() {
+                    let err = (*w - twiddle(a2, k1, p.n, dir)).abs();
+                    assert!(err <= 8.0 * f64::EPSILON, "n=2^{e} ({a2}, {k1}): {err:e}");
+                }
+            }
+        }
     }
 }
 

@@ -162,6 +162,19 @@ echo "$ooc_out" | grep -q "ooc contract holds" \
 echo "$ooc_out" | grep -q "faults_hit=1" \
   || { echo "ooc smoke FAILED: injected fault did not fire in:"; echo "$ooc_out"; exit 1; }
 echo "ooc smoke: OK"
+# The benchmark's shape: 2^20 points under a 4 MiB budget, where the
+# stage-1 twiddle table holds 1024 + 1024 roots. Release build, both
+# directions; full mode only (each run is ~2.5 s, mostly the oracle).
+if [ "$fast" -eq 1 ]; then
+  echo "ooc smoke at 2^20: skipped (--fast)"
+else
+  for dir_flag in "" "--inverse"; do
+    big_out="$(cargo run -q --release --bin bwfft-cli -- ooc --n 1048576 --budget 4194304 $dir_flag)"
+    echo "$big_out" | grep -q "ooc contract holds" \
+      || { echo "ooc smoke at 2^20 FAILED ($dir_flag): oracle contract line missing in:"; echo "$big_out"; exit 1; }
+  done
+  echo "ooc smoke at 2^20: OK (forward and inverse)"
+fi
 
 echo "== ooc crash smoke (SIGABRT mid-stage, resume from the journal) =="
 # Kill a checkpointed run right after block 0 of stage 3 commits its

@@ -472,3 +472,70 @@ fn r2c_plan_matches_complex_fft_3d_both_tiers() {
         );
     }
 }
+
+// ---------------------------------------------------------------------------
+// Four-step 1D conformance — DESIGN.md §3.5 and §12.
+//
+// Contract: the in-RAM four-step (`core::fft1d::execute`), the
+// out-of-core tier's in-RAM form (`ooc::four_step_in_ram`) and its
+// streamed `ooc::execute` match the naive DFT on the golden inputs, in
+// both directions, under the same [`POW2_ULP_BOUND`]. On top of the
+// batched kernels they apply the twiddle diagonal from the shared
+// two-factor table: one extra complex multiply per twiddle.
+// ---------------------------------------------------------------------------
+
+use bwfft::core::fft1d::{self, Fft1dLargePlan};
+use bwfft::ooc::plan::BYTES_PER_HALF_ELEM;
+use bwfft::ooc::{OocConfig, OocStore, Workspace};
+
+/// Every four-step form applied to `x`. Odd exponents split with more
+/// rows than columns in `fft1d`, the table's carry path.
+#[allow(clippy::unwrap_used)] // test helper; only #[test] fns get the blanket allowance
+fn four_step_outputs(x: &[Complex64], dir: Direction) -> Vec<(&'static str, Vec<Complex64>)> {
+    let n = x.len();
+    let e = n.trailing_zeros() as usize;
+    let (n1, n2) = (n >> (e / 2), 1usize << (e / 2));
+    let mut data = x.to_vec();
+    let mut work = vec![Complex64::ZERO; n];
+    let plan = Fft1dLargePlan::new(n1, n2).direction(dir);
+    fft1d::execute(&plan, &mut data, &mut work).unwrap();
+
+    // A budget of one row per half: every stage streams many blocks.
+    let cfg = OocConfig {
+        dir,
+        budget_bytes: n1 * BYTES_PER_HALF_ELEM,
+        ..OocConfig::default()
+    };
+    let p = bwfft::ooc::plan(n, &cfg).unwrap();
+    let ws = Workspace::create().unwrap();
+    let input = OocStore::create(&ws.path("input.bin"), p.n1, p.n2, p.stride_cols_n2).unwrap();
+    input.write_rows(0, x).unwrap();
+    let output = OocStore::create(&ws.path("output.bin"), p.n2, p.n1, p.stride_cols_n1).unwrap();
+    bwfft::ooc::execute(&p, &cfg, &ws, &input, &output).unwrap();
+    let mut streamed = vec![Complex64::ZERO; n];
+    output.read_rows(0, &mut streamed).unwrap();
+    vec![
+        ("fft1d", data),
+        ("ooc-in-ram", bwfft::ooc::four_step_in_ram(&p, x)),
+        ("ooc-streamed", streamed),
+    ]
+}
+
+#[test]
+fn golden_vectors_four_step_1d_both_directions() {
+    for n in [1usize << 8, 1 << 10, 1 << 11, 1 << 12] {
+        for dir in [Direction::Forward, Direction::Inverse] {
+            for (input_name, x) in golden_inputs(n, 8300 + n as u64) {
+                let reference = dft_naive(&x, dir);
+                for (form, got) in four_step_outputs(&x, dir) {
+                    assert_ulp_close(
+                        &got,
+                        &reference,
+                        POW2_ULP_BOUND,
+                        &format!("{form} n={n} {dir:?} on {input_name}"),
+                    );
+                }
+            }
+        }
+    }
+}
