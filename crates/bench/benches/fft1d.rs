@@ -10,7 +10,6 @@ use bwfft_kernels::batch::BatchFft;
 use bwfft_kernels::bluestein::Bluestein;
 use bwfft_kernels::layout::{stockham_block_format, to_block_format};
 use bwfft_kernels::radix2::fft_radix2_tables;
-use bwfft_kernels::radix4::{stockham_radix4_strided, Radix4Twiddles};
 use bwfft_kernels::stockham::stockham_strided;
 use bwfft_kernels::twiddle::StockhamTwiddles;
 use bwfft_kernels::Direction;
@@ -36,12 +35,6 @@ fn bench_fft1d(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("radix2_bitrev", n), &n, |b, _| {
             let mut data = AlignedVec::from_slice(&x);
             b.iter(|| fft_radix2_tables(&mut data, &tw));
-        });
-        let tw4 = Radix4Twiddles::new(n, Direction::Forward);
-        group.bench_with_input(BenchmarkId::new("radix4_stockham", n), &n, |b, _| {
-            let mut data = AlignedVec::from_slice(&x);
-            let mut scratch = AlignedVec::<Complex64>::zeroed(n);
-            b.iter(|| stockham_radix4_strided(&mut data, &mut scratch, n, 1, &tw4));
         });
     }
     group.finish();

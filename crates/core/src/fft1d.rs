@@ -291,7 +291,6 @@ pub fn simulate_fft1d(
 mod tests {
     use super::*;
     use bwfft_kernels::reference::dft_naive;
-    use bwfft_kernels::Fft1d;
     use bwfft_num::compare::assert_fft_close;
     use bwfft_num::signal::random_complex;
     use bwfft_spl::Formula;
@@ -340,7 +339,7 @@ mod tests {
                 .threads(2, 2);
             let got = run(&plan, &x);
             let mut expect = x.clone();
-            Fft1d::new(n, Direction::Forward).run(&mut expect);
+            BatchFft::new(n, 1, Direction::Forward).run(&mut expect);
             assert_fft_close(&got, &expect);
         }
     }
@@ -378,7 +377,7 @@ mod tests {
         assert_eq!(plan.stage_perms().len(), 2);
         let got = run(&plan, &xp);
         let mut expect = x.clone();
-        Fft1d::new(n, Direction::Forward).run(&mut expect);
+        BatchFft::new(n, 1, Direction::Forward).run(&mut expect);
         assert_fft_close(&got, &expect);
     }
 

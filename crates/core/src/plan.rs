@@ -2,7 +2,8 @@
 //! per-stage structure (§III).
 
 use crate::host::{DegradationReason, ExecutorKind, HostProfile};
-use bwfft_kernels::{Direction, KernelVariant};
+use bwfft_kernels::batch::KernelVariant;
+use bwfft_kernels::Direction;
 use bwfft_num::MU;
 use bwfft_spl::gather_scatter::{fft2d_stage_perms, fft3d_numa_stage_perms, StagePerm};
 
@@ -144,8 +145,8 @@ pub struct FftPlan {
     /// pipelined). Populated by [`FftPlanBuilder::host`] /
     /// [`FftPlanBuilder::adapt_to_host`].
     pub degradations: Vec<DegradationReason>,
-    /// Which 1D pencil kernel the compute threads run. One of the
-    /// autotuner's search axes; defaults to radix-2 Stockham.
+    /// Always radix-2 Stockham; kept only because hostbench's replay
+    /// reads it.
     pub kernel: KernelVariant,
     stages: Vec<StageSpec>,
 }
@@ -163,7 +164,6 @@ impl FftPlan {
             non_temporal: true,
             pin_cpus: None,
             host: None,
-            kernel: KernelVariant::Stockham,
         }
     }
 
@@ -196,7 +196,6 @@ pub struct FftPlanBuilder {
     non_temporal: bool,
     pin_cpus: Option<Vec<usize>>,
     host: Option<HostProfile>,
-    kernel: KernelVariant,
 }
 
 impl FftPlanBuilder {
@@ -219,13 +218,6 @@ impl FftPlanBuilder {
     /// The currently configured socket count.
     pub fn socket_count(&self) -> usize {
         self.sockets
-    }
-
-    /// Selects the 1D pencil kernel variant (default: radix-2
-    /// Stockham). Radix-4 agrees to FFT tolerance, not bitwise.
-    pub fn kernel(mut self, variant: KernelVariant) -> Self {
-        self.kernel = variant;
-        self
     }
 
     pub fn mu(mut self, mu: usize) -> Self {
@@ -441,7 +433,7 @@ impl FftPlanBuilder {
             pin_cpus: self.pin_cpus,
             executor,
             degradations,
-            kernel: self.kernel,
+            kernel: KernelVariant::default(),
             stages,
         })
     }
@@ -579,15 +571,10 @@ mod tests {
     }
 
     #[test]
-    fn builder_getters_and_kernel_variant() {
+    fn builder_getters() {
         let builder = FftPlan::builder(Dims::d2(8, 16)).direction(Direction::Inverse);
         assert_eq!(builder.dims(), Dims::d2(8, 16));
         assert_eq!(builder.dir(), Direction::Inverse);
         assert_eq!(builder.socket_count(), 1);
-        let p = builder.kernel(KernelVariant::StockhamRadix4).build().unwrap();
-        assert_eq!(p.kernel, KernelVariant::StockhamRadix4);
-        // Default stays radix-2 so existing bitwise tests are untouched.
-        let q = FftPlan::builder(Dims::d2(8, 16)).build().unwrap();
-        assert_eq!(q.kernel, KernelVariant::Stockham);
     }
 }

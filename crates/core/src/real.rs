@@ -35,7 +35,7 @@ use bwfft_kernels::realfft::{
     fused_multiply_merge, half_twiddles, merge_split_inverse, packed_spectrum_energy,
     split_merge_forward,
 };
-use bwfft_kernels::{Direction, KernelVariant};
+use bwfft_kernels::Direction;
 use bwfft_machine::spec::MachineSpec;
 use bwfft_num::{try_vec_zeroed, Complex64};
 use bwfft_pipeline::IntegrityKind;
@@ -78,7 +78,6 @@ pub struct RealFftPlanBuilder {
     p_d: usize,
     p_c: usize,
     sockets: usize,
-    kernel: KernelVariant,
     adapt_to_host: bool,
 }
 
@@ -98,11 +97,6 @@ impl RealFftPlanBuilder {
 
     pub fn sockets(mut self, sk: usize) -> Self {
         self.sockets = sk;
-        self
-    }
-
-    pub fn kernel(mut self, variant: KernelVariant) -> Self {
-        self.kernel = variant;
         self
     }
 
@@ -128,7 +122,6 @@ impl RealFftPlanBuilder {
         let make = |dir: Direction| {
             let mut b = FftPlan::builder(inner)
                 .direction(dir)
-                .kernel(self.kernel)
                 .threads(self.p_d, self.p_c)
                 .sockets(self.sockets);
             if self.buffer_elems != 0 {
@@ -156,7 +149,6 @@ impl RealFftPlan {
             p_d: 1,
             p_c: 1,
             sockets: 1,
-            kernel: KernelVariant::Stockham,
             adapt_to_host: false,
         }
     }

@@ -15,7 +15,8 @@
 
 use crate::error::CoreError;
 use crate::plan::{Dims, FftPlan};
-use bwfft_kernels::{Direction, Fft1d};
+use bwfft_kernels::batch::BatchFft;
+use bwfft_kernels::Direction;
 use bwfft_num::{try_vec_zeroed, Complex64};
 
 /// Transforms `data` in place per the plan's dims and direction using
@@ -50,11 +51,8 @@ pub fn reference_2d(
     m: usize,
     dir: Direction,
 ) -> Result<(), CoreError> {
-    let mut row_fft = Fft1d::new(m, dir);
-    for row in data.chunks_exact_mut(m) {
-        row_fft.run(row);
-    }
-    let mut col_fft = Fft1d::new(n, dir);
+    BatchFft::new(m, 1, dir).run(data);
+    let mut col_fft = BatchFft::new(n, 1, dir);
     let mut pencil = try_vec_zeroed::<Complex64>(n, "reference pencil")?;
     for c in 0..m {
         for r in 0..n {
@@ -78,12 +76,9 @@ pub fn reference_3d(
     dir: Direction,
 ) -> Result<(), CoreError> {
     // Stage 1: x-pencils (contiguous rows).
-    let mut x_fft = Fft1d::new(m, dir);
-    for row in data.chunks_exact_mut(m) {
-        x_fft.run(row);
-    }
+    BatchFft::new(m, 1, dir).run(data);
     // Stage 2: y-pencils (stride m within each slab).
-    let mut y_fft = Fft1d::new(n, dir);
+    let mut y_fft = BatchFft::new(n, 1, dir);
     let mut pencil = try_vec_zeroed::<Complex64>(n, "reference pencil")?;
     for z in 0..k {
         let slab = &mut data[z * n * m..(z + 1) * n * m];
@@ -109,7 +104,7 @@ pub fn z_pencils(
     m: usize,
     dir: Direction,
 ) -> Result<(), CoreError> {
-    let mut z_fft = Fft1d::new(k, dir);
+    let mut z_fft = BatchFft::new(k, 1, dir);
     let mut zpencil = try_vec_zeroed::<Complex64>(k, "reference pencil")?;
     for y in 0..n {
         for x in 0..m {

@@ -403,7 +403,6 @@ fn shrink_plan(plan: &FftPlan, new_b: usize) -> Result<FftPlan, PlanError> {
         .threads(plan.p_d, plan.p_c)
         .sockets(plan.sockets)
         .non_temporal(plan.non_temporal)
-        .kernel(plan.kernel)
         .build()?;
     rebuilt.pin_cpus = plan.pin_cpus.clone();
     rebuilt.executor = plan.executor;

@@ -6,56 +6,28 @@
 //! blocked reshape has already grouped each pencil into `μ`-wide
 //! cacheline lanes).
 
-use crate::radix4::{stockham_radix4_strided, Radix4Twiddles};
 use crate::stockham::stockham_strided;
 use crate::twiddle::StockhamTwiddles;
 use crate::Direction;
 use bwfft_num::{AlignedVec, Complex64};
 
-/// Which 1D pencil kernel a batch (and hence a plan) runs. Both
-/// variants compute the same strided form `DFT_n ⊗ I_s`; they differ
-/// in pass count and rounding, so results agree to FFT tolerance but
-/// are not bit-identical. This is one of the autotuner's search-space
-/// axes.
+/// The 1D pencil kernel a plan runs. Radix-2 Stockham is the only one;
+/// the type survives because hostbench's replay reads
+/// `FftPlan::kernel` and passes it to [`BatchFft::with_variant`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum KernelVariant {
-    /// Radix-2 Stockham autosort — the default and the variant every
-    /// bitwise regression test in the workspace assumes.
+    /// Radix-2 Stockham autosort.
     #[default]
     Stockham,
-    /// Radix-4 Stockham: half the ping-pong passes, fewer twiddle
-    /// multiplies; odd log2 sizes take one leading radix-2 stage.
-    StockhamRadix4,
 }
 
 impl KernelVariant {
-    /// Short stable token used by the wisdom text format and CLI.
+    /// Short stable token (`r2`) that hostbench prints with a plan.
     pub fn token(self) -> &'static str {
         match self {
             KernelVariant::Stockham => "r2",
-            KernelVariant::StockhamRadix4 => "r4",
         }
     }
-
-    /// Inverse of [`token`](Self::token).
-    pub fn from_token(tok: &str) -> Option<Self> {
-        match tok {
-            "r2" => Some(KernelVariant::Stockham),
-            "r4" => Some(KernelVariant::StockhamRadix4),
-            _ => None,
-        }
-    }
-
-    /// All variants, for search-space enumeration.
-    pub fn all() -> [KernelVariant; 2] {
-        [KernelVariant::Stockham, KernelVariant::StockhamRadix4]
-    }
-}
-
-/// Twiddle tables for whichever kernel variant the batch dispatches to.
-enum Tables {
-    Stockham(StockhamTwiddles),
-    Radix4(Radix4Twiddles),
 }
 
 /// Reusable kernel for `I_c ⊗ DFT_m ⊗ I_s` applied in place to a
@@ -76,50 +48,30 @@ enum Tables {
 pub struct BatchFft {
     m: usize,
     s: usize,
-    tables: Tables,
+    twiddles: StockhamTwiddles,
     scratch: AlignedVec<Complex64>,
 }
 
 impl BatchFft {
     pub fn new(m: usize, s: usize, dir: Direction) -> Self {
-        Self::with_variant(m, s, dir, KernelVariant::Stockham)
-    }
-
-    /// Like [`new`](Self::new) but selecting the 1D kernel variant —
-    /// the hook the autotuner uses to carry its kernel choice into the
-    /// executors.
-    pub fn with_variant(m: usize, s: usize, dir: Direction, variant: KernelVariant) -> Self {
         assert!(m >= 1 && s >= 1);
-        let tables = match variant {
-            KernelVariant::Stockham => Tables::Stockham(StockhamTwiddles::new(m, dir)),
-            KernelVariant::StockhamRadix4 => Tables::Radix4(Radix4Twiddles::new(m, dir)),
-        };
         Self {
             m,
             s,
-            tables,
+            twiddles: StockhamTwiddles::new(m, dir),
             scratch: AlignedVec::zeroed(m * s),
         }
     }
 
-    /// The variant this batch dispatches to.
-    pub fn variant(&self) -> KernelVariant {
-        match self.tables {
-            Tables::Stockham(_) => KernelVariant::Stockham,
-            Tables::Radix4(_) => KernelVariant::StockhamRadix4,
-        }
+    /// Same as [`new`](Self::new); kept because hostbench's replay
+    /// calls it with `FftPlan::kernel`.
+    pub fn with_variant(m: usize, s: usize, dir: Direction, _variant: KernelVariant) -> Self {
+        Self::new(m, s, dir)
     }
 
     #[inline]
     fn apply(&mut self, pencil: &mut [Complex64]) {
-        match &self.tables {
-            Tables::Stockham(tw) => {
-                stockham_strided(pencil, &mut self.scratch, self.m, self.s, tw)
-            }
-            Tables::Radix4(tw) => {
-                stockham_radix4_strided(pencil, &mut self.scratch, self.m, self.s, tw)
-            }
-        }
+        stockham_strided(pencil, &mut self.scratch, self.m, self.s, &self.twiddles);
     }
 
     /// Pencil length.
@@ -182,6 +134,7 @@ impl BatchFft {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference::dft_naive;
     use bwfft_num::compare::assert_fft_close;
     use bwfft_num::signal::random_complex;
     use bwfft_spl::Formula;
@@ -239,30 +192,22 @@ mod tests {
     }
 
     #[test]
-    fn radix4_variant_matches_default_to_fft_tolerance() {
-        // Same strided batch through both kernel variants: equal up to
-        // rounding (radix-4 reorders the arithmetic), both directions,
-        // even and odd log2 sizes.
-        for m in [8usize, 16, 32] {
-            for dir in [Direction::Forward, Direction::Inverse] {
-                let (c, mu) = (3usize, 4usize);
-                let x = random_complex(c * m * mu, 44);
-                let mut r2 = x.clone();
-                let mut r4 = x.clone();
-                BatchFft::with_variant(m, mu, dir, KernelVariant::Stockham).run(&mut r2);
-                BatchFft::with_variant(m, mu, dir, KernelVariant::StockhamRadix4).run(&mut r4);
-                assert_fft_close(&r4, &r2);
-            }
+    fn plan_is_reusable() {
+        let mut plan = BatchFft::new(64, 1, Direction::Forward);
+        for seed in 0..5 {
+            let x = random_complex(64, seed);
+            let mut got = x.clone();
+            plan.run(&mut got);
+            assert_fft_close(&got, &dft_naive(&x, Direction::Forward));
         }
     }
 
     #[test]
-    fn variant_tokens_roundtrip() {
-        for v in KernelVariant::all() {
-            assert_eq!(KernelVariant::from_token(v.token()), Some(v));
-        }
-        assert_eq!(KernelVariant::from_token("nope"), None);
-        assert_eq!(KernelVariant::default(), KernelVariant::Stockham);
+    #[should_panic]
+    fn wrong_length_is_rejected() {
+        let mut plan = BatchFft::new(64, 1, Direction::Forward);
+        let mut data = vec![Complex64::ZERO; 32];
+        plan.run(&mut data);
     }
 
     #[test]

@@ -12,6 +12,7 @@
 //! The `j²` chirp exponent is reduced modulo `2n` before the float
 //! conversion so precision holds at large sizes.
 
+use crate::batch::BatchFft;
 use crate::stockham::stockham_strided;
 use crate::twiddle::StockhamTwiddles;
 use crate::Direction;
@@ -131,20 +132,14 @@ impl Bluestein {
 /// A planner accepting any size: power-of-two sizes dispatch to the
 /// Stockham kernel, everything else to Bluestein.
 pub enum AnyFft {
-    Pow2 {
-        twiddles: StockhamTwiddles,
-        scratch: AlignedVec<Complex64>,
-    },
+    Pow2(BatchFft),
     Chirp(Box<Bluestein>),
 }
 
 impl AnyFft {
     pub fn new(n: usize, dir: Direction) -> Self {
         if bwfft_num::is_pow2(n) {
-            AnyFft::Pow2 {
-                twiddles: StockhamTwiddles::new(n, dir),
-                scratch: AlignedVec::zeroed(n),
-            }
+            AnyFft::Pow2(BatchFft::new(n, 1, dir))
         } else {
             AnyFft::Chirp(Box::new(Bluestein::new(n, dir)))
         }
@@ -152,7 +147,7 @@ impl AnyFft {
 
     pub fn len(&self) -> usize {
         match self {
-            AnyFft::Pow2 { twiddles, .. } => twiddles.n,
+            AnyFft::Pow2(f) => f.m(),
             AnyFft::Chirp(b) => b.len(),
         }
     }
@@ -162,10 +157,9 @@ impl AnyFft {
     }
 
     pub fn run(&mut self, data: &mut [Complex64]) {
+        assert_eq!(data.len(), self.len());
         match self {
-            AnyFft::Pow2 { twiddles, scratch } => {
-                stockham_strided(data, scratch, twiddles.n, 1, twiddles);
-            }
+            AnyFft::Pow2(f) => f.run(data),
             AnyFft::Chirp(b) => b.run(data),
         }
     }

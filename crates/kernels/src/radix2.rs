@@ -1,11 +1,11 @@
 //! In-place radix-2 decimation-in-time FFT with bit-reversal reorder.
 //!
-//! Kept alongside the Stockham kernel for two reasons: it cross-checks
-//! the workhorse kernel with an independently-derived algorithm, and its
-//! strided access pattern (stride doubling per stage over the whole
-//! array) is the canonical example of the cache-hostile behaviour the
-//! paper's blocked decompositions avoid — the baselines use it to model
-//! "pencil FFT straight over strided data".
+//! Not on any execution path: it is the independent oracle the
+//! Stockham kernel is tested against (an independently-derived
+//! algorithm, with twiddles computed on the fly), and its strided
+//! access pattern (stride doubling per stage over the whole array) is
+//! the canonical example of the cache-hostile behaviour the paper's
+//! blocked decompositions avoid.
 
 use crate::twiddle::StockhamTwiddles;
 use crate::Direction;

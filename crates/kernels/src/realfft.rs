@@ -31,8 +31,8 @@
 //! `Y·H` and immediately re-merges it for the inverse FFT, so the
 //! product spectrum is never materialized.
 
+use crate::batch::BatchFft;
 use crate::layout::{fold_real, packed_spectrum_len, unfold_real};
-use crate::plan1d::Fft1d;
 use crate::Direction;
 use bwfft_num::{is_pow2, AlignedVec, Complex64};
 
@@ -203,8 +203,8 @@ pub fn packed_spectrum_energy(packed: &[Complex64], rows: usize) -> f64 {
 pub struct RealFft1d {
     n: usize,
     /// Half-length plans; `None` for the degenerate `n == 1`.
-    fwd: Option<Fft1d>,
-    inv: Option<Fft1d>,
+    fwd: Option<BatchFft>,
+    inv: Option<BatchFft>,
     tw: Vec<Complex64>,
     scratch: AlignedVec<Complex64>,
 }
@@ -226,8 +226,8 @@ impl RealFft1d {
         let h = n / 2;
         Self {
             n,
-            fwd: Some(Fft1d::new(h, Direction::Forward)),
-            inv: Some(Fft1d::new(h, Direction::Inverse)),
+            fwd: Some(BatchFft::new(h, 1, Direction::Forward)),
+            inv: Some(BatchFft::new(h, 1, Direction::Inverse)),
             tw: half_twiddles(n),
             scratch: AlignedVec::zeroed(h),
         }
@@ -295,8 +295,8 @@ impl RealFft1d {
 /// output is the exact circular convolution.
 pub struct SpectralConv1d {
     n: usize,
-    fwd: Fft1d,
-    inv: Fft1d,
+    fwd: BatchFft,
+    inv: BatchFft,
     tw: Vec<Complex64>,
     hspec: Vec<Complex64>,
     scratch: AlignedVec<Complex64>,
@@ -319,8 +319,8 @@ impl SpectralConv1d {
         }
         Self {
             n,
-            fwd: Fft1d::new(h, Direction::Forward),
-            inv: Fft1d::new(h, Direction::Inverse),
+            fwd: BatchFft::new(h, 1, Direction::Forward),
+            inv: BatchFft::new(h, 1, Direction::Inverse),
             tw: half_twiddles(n),
             hspec,
             scratch: AlignedVec::zeroed(h),

@@ -3,20 +3,19 @@
 //! The search space is the cross product of the plan knobs the paper
 //! identifies as machine-dependent (§IV–V): the cacheline block μ, the
 //! double-buffer half size `b`, the data/compute thread split
-//! `(p_d, p_c)`, non-temporal stores on/off, the executor kind
-//! (pipelined soft-DMA vs. fused), and the 1D pencil kernel variant.
-//! Enumerating it blindly on the real executor would take minutes per
-//! shape, so tuning runs in two phases:
+//! `(p_d, p_c)`, non-temporal stores on/off, and the executor kind
+//! (pipelined soft-DMA vs. fused). The 1D pencil kernel is not an
+//! axis: radix-2 Stockham is the only one. Enumerating the space
+//! blindly on the real executor would take minutes per shape, so
+//! tuning runs in two phases:
 //!
 //! 1. **Model pruning** — every candidate is scored with the
 //!    `bwfft-machine` discrete-event `Engine` via
 //!    [`bwfft_core::exec_sim::simulate`] (a few steady-state iterations,
 //!    then extrapolation; milliseconds per candidate). Only the best
-//!    [`TunerOptions::shortlist`] survive. The model does not
-//!    distinguish kernel variants (same flop count), so that axis is
-//!    deferred to phase 2.
-//! 2. **Measurement** — each survivor × kernel variant is built into a
-//!    real [`FftPlan`] and timed with the real executor for
+//!    [`TunerOptions::shortlist`] survive.
+//! 2. **Measurement** — each survivor is built into a real [`FftPlan`]
+//!    and timed, one trial per survivor, with the real executor for
 //!    [`TunerOptions::reps`] repetitions; best wall-clock wins.
 //!
 //! `model_only` mode stops after phase 1 (deterministic, no threads, no
@@ -27,7 +26,7 @@ use crate::error::TunerError;
 use bwfft_core::exec_real::{execute_with, ExecConfig};
 use bwfft_core::exec_sim::{simulate, simulate_no_overlap, SimOptions};
 use bwfft_core::{Dims, ExecutorKind, FftPlan, HostProfile};
-use bwfft_kernels::{Direction, KernelVariant};
+use bwfft_kernels::Direction;
 use bwfft_machine::{presets, MachineSpec};
 use bwfft_num::{try_vec_zeroed, Complex64};
 use bwfft_trace::{MarkKind, TraceCollector};
@@ -46,7 +45,6 @@ pub struct TuningRecord {
     pub p_c: usize,
     pub non_temporal: bool,
     pub executor: ExecutorKind,
-    pub kernel: KernelVariant,
     /// Best observed cost: wall-clock ns when `measured`, model ns
     /// otherwise.
     pub score_ns: f64,
@@ -66,7 +64,6 @@ impl TuningRecord {
             .buffer_elems(self.buffer_elems)
             .threads(self.p_d, self.p_c)
             .non_temporal(self.non_temporal)
-            .kernel(self.kernel)
             .build()?;
         plan.executor = self.executor;
         Ok(plan)
@@ -75,7 +72,7 @@ impl TuningRecord {
     /// One-line human summary of the chosen knobs.
     pub fn describe(&self) -> String {
         format!(
-            "{} {:?}: mu={} b={} threads={}+{} nt={} exec={:?} kernel={} ({:.0} ns {})",
+            "{} {:?}: mu={} b={} threads={}+{} nt={} exec={:?} ({:.0} ns {})",
             self.dims.label(),
             self.dir,
             self.mu,
@@ -84,7 +81,6 @@ impl TuningRecord {
             self.p_c,
             u8::from(self.non_temporal),
             self.executor,
-            self.kernel.token(),
             self.score_ns,
             if self.measured { "measured" } else { "model" },
         )
@@ -107,8 +103,7 @@ pub struct TunerOptions {
     /// before extrapolating; smaller = cheaper, coarser.
     pub sim_iters: usize,
     /// Stop after the model phase: deterministic, thread-free, no
-    /// data-array allocation. Kernel-variant selection needs real
-    /// timing, so model-only records always pick the default kernel.
+    /// data-array allocation.
     pub model_only: bool,
     /// Telemetry sink: when set, every measured shortlist trial is
     /// recorded as a [`MarkKind::TunerTrial`] (best-of-reps wall ns in
@@ -233,7 +228,7 @@ impl Tuner {
         Ok(scored)
     }
 
-    /// Phase 2: time the shortlist (× kernel variants) on the real
+    /// Phase 2: time each shortlisted candidate once on the real
     /// executor; best wall-clock wins.
     fn measure_phase(
         &self,
@@ -252,44 +247,40 @@ impl Tuner {
 
         let mut best: Option<TuningRecord> = None;
         let mut last_err: Option<TunerError> = None;
-        for cand in scored.into_iter().take(self.opts.shortlist.max(1)) {
-            for kernel in KernelVariant::all() {
-                let mut rec = cand.clone();
-                rec.kernel = kernel;
-                let Ok(plan) = rec.build_plan() else {
-                    continue;
-                };
-                let mut best_ns = f64::INFINITY;
-                let mut failed = false;
-                for _ in 0..self.opts.reps.max(1) {
-                    // Fresh input each rep: the transform is
-                    // unnormalized, so reusing output would grow the
-                    // values by N per pass.
-                    data.copy_from_slice(&input);
-                    let t0 = Instant::now();
-                    match execute_with(&plan, &mut data, &mut work, &cfg) {
-                        Ok(_) => best_ns = best_ns.min(t0.elapsed().as_nanos() as f64),
-                        Err(e) => {
-                            last_err = Some(TunerError::from(e));
-                            failed = true;
-                            break;
-                        }
+        for mut rec in scored.into_iter().take(self.opts.shortlist.max(1)) {
+            let Ok(plan) = rec.build_plan() else {
+                continue;
+            };
+            let mut best_ns = f64::INFINITY;
+            let mut failed = false;
+            for _ in 0..self.opts.reps.max(1) {
+                // Fresh input each rep: the transform is
+                // unnormalized, so reusing output would grow the
+                // values by N per pass.
+                data.copy_from_slice(&input);
+                let t0 = Instant::now();
+                match execute_with(&plan, &mut data, &mut work, &cfg) {
+                    Ok(_) => best_ns = best_ns.min(t0.elapsed().as_nanos() as f64),
+                    Err(e) => {
+                        last_err = Some(TunerError::from(e));
+                        failed = true;
+                        break;
                     }
                 }
-                if failed {
-                    continue;
-                }
-                rec.score_ns = best_ns;
-                rec.measured = true;
-                if let Some(t) = &self.opts.trace {
-                    t.mark(MarkKind::TunerTrial, rec.describe(), Some(best_ns));
-                }
-                let better = best
-                    .as_ref()
-                    .is_none_or(|b| best_ns < b.score_ns);
-                if better {
-                    best = Some(rec);
-                }
+            }
+            if failed {
+                continue;
+            }
+            rec.score_ns = best_ns;
+            rec.measured = true;
+            if let Some(t) = &self.opts.trace {
+                t.mark(MarkKind::TunerTrial, rec.describe(), Some(best_ns));
+            }
+            let better = best
+                .as_ref()
+                .is_none_or(|b| best_ns < b.score_ns);
+            if better {
+                best = Some(rec);
             }
         }
         match (best, last_err) {
@@ -299,10 +290,9 @@ impl Tuner {
         }
     }
 
-    /// The raw candidate list (pre-validation, kernel axis fixed to the
-    /// default): μ × b × thread split × non-temporal × executor.
+    /// The raw candidate list (pre-validation): μ × b × thread split ×
+    /// non-temporal × executor.
     fn enumerate(&self, dims: Dims, dir: Direction) -> Vec<TuningRecord> {
-        let total = dims.total();
         let m_inner = match dims {
             Dims::Two { m, .. } | Dims::Three { m, .. } => m,
         };
@@ -324,7 +314,6 @@ impl Tuner {
                                 p_c,
                                 non_temporal,
                                 executor,
-                                kernel: KernelVariant::default(),
                                 score_ns: f64::INFINITY,
                                 measured: false,
                             });
@@ -333,7 +322,6 @@ impl Tuner {
                 }
             }
         }
-        let _ = total;
         out
     }
 }
@@ -490,8 +478,10 @@ mod tests {
                 bwfft_trace::TraceEvent::Span(_) => None,
             })
             .collect();
+        // One timed trial per buildable shortlisted candidate; every
+        // model-phase survivor builds, so that is the shortlist.
         let trials = marks.iter().filter(|m| m.kind == MarkKind::TunerTrial).count();
-        assert!(trials >= 2, "expected trials for shortlist × kernels, got {trials}");
+        assert_eq!(trials, 2, "one trial per shortlisted candidate");
         let winner = marks
             .iter()
             .find(|m| m.kind == MarkKind::TunerWinner)
@@ -526,6 +516,6 @@ mod tests {
             .tune(Dims::d2(64, 64), Direction::Forward)
             .unwrap();
         let s = rec.describe();
-        assert!(s.contains("mu=") && s.contains("b=") && s.contains("kernel="));
+        assert!(s.contains("mu=") && s.contains("b=") && s.contains("exec="));
     }
 }

@@ -4,9 +4,9 @@
 //! (no serde in the dependency tree):
 //!
 //! ```text
-//! bwfft-wisdom v1
+//! bwfft-wisdom v2
 //! host cpus=8 pin=1 llc=8388608
-//! plan dims=3d:64x64x64 dir=fwd mu=4 b=65536 pd=2 pc=2 nt=1 exec=pipe kernel=r2 meas=1 score_ns=123456.5
+//! plan dims=3d:64x64x64 dir=fwd mu=4 b=65536 pd=2 pc=2 nt=1 exec=pipe meas=1 score_ns=123456.5
 //! ```
 //!
 //! Line 1 is the versioned magic, line 2 the host fingerprint the
@@ -24,12 +24,12 @@ use crate::error::TunerError;
 use crate::fingerprint::HostFingerprint;
 use crate::search::TuningRecord;
 use bwfft_core::{Dims, ExecutorKind};
-use bwfft_kernels::{Direction, KernelVariant};
+use bwfft_kernels::Direction;
 use std::path::Path;
 
 /// Current wisdom format version. Bump on any incompatible change to
 /// the line grammar; old files then degrade to re-tuning, not errors.
-pub const WISDOM_VERSION: u32 = 1;
+pub const WISDOM_VERSION: u32 = 2;
 
 /// A parsed wisdom file: the fingerprint it was tuned under plus its
 /// records.
@@ -95,14 +95,10 @@ impl Wisdom {
 
     /// Parses [`serialize`](Self::serialize) output. Version/host
     /// checking is the caller's job ([`load`] does it); this only
-    /// rejects text that does not follow the v1 grammar.
+    /// rejects text that does not follow the current grammar.
     pub fn parse(text: &str) -> Result<(u32, Self), TunerError> {
-        let mut lines = text.lines().enumerate();
-        let (_, magic) = lines.next().ok_or(TunerError::WisdomParse {
-            line: 1,
-            reason: "empty wisdom file".into(),
-        })?;
-        let version = parse_magic(magic)?;
+        let version = parse_magic(text)?;
+        let mut lines = text.lines().enumerate().skip(1);
         let (host_idx, host_line) = lines.next().ok_or(TunerError::WisdomParse {
             line: 2,
             reason: "missing host fingerprint line".into(),
@@ -133,6 +129,8 @@ impl Wisdom {
 /// Loads wisdom from `path` for a host with fingerprint `fp`.
 ///
 /// - Missing file, other version, other host → `Ok(Retune(reason))`.
+///   The version is read before anything else, so a file written in
+///   another version's grammar retunes instead of failing to parse.
 /// - Unreadable or unparseable file → `Err` (typed, never a panic).
 /// - Otherwise → `Ok(Usable(wisdom))`.
 pub fn load(path: &Path, fp: &HostFingerprint) -> Result<WisdomLoad, TunerError> {
@@ -143,12 +141,13 @@ pub fn load(path: &Path, fp: &HostFingerprint) -> Result<WisdomLoad, TunerError>
         path: path.display().to_string(),
         detail: e.to_string(),
     })?;
-    let (version, wisdom) = Wisdom::parse(&text)?;
+    let version = parse_magic(&text)?;
     if version != WISDOM_VERSION {
         return Ok(WisdomLoad::Retune(RetuneReason::VersionMismatch {
             found: version,
         }));
     }
+    let (_, wisdom) = Wisdom::parse(&text)?;
     if wisdom.fingerprint != *fp {
         return Ok(WisdomLoad::Retune(RetuneReason::HostMismatch {
             found: wisdom.fingerprint,
@@ -171,8 +170,13 @@ pub fn save(path: &Path, wisdom: &Wisdom) -> Result<(), TunerError> {
     std::fs::write(path, wisdom.serialize()).map_err(io_err)
 }
 
-fn parse_magic(line: &str) -> Result<u32, TunerError> {
+/// The format version from line 1 of `text`, the versioned magic.
+fn parse_magic(text: &str) -> Result<u32, TunerError> {
     let err = |reason: String| TunerError::WisdomParse { line: 1, reason };
+    let line = text
+        .lines()
+        .next()
+        .ok_or_else(|| err("empty wisdom file".into()))?;
     let rest = line
         .strip_prefix("bwfft-wisdom v")
         .ok_or_else(|| err(format!("expected `bwfft-wisdom v<N>`, found `{line}`")))?;
@@ -208,7 +212,7 @@ fn parse_dims(token: &str, line: usize) -> Result<Dims, TunerError> {
 
 fn record_line(rec: &TuningRecord) -> String {
     format!(
-        "plan dims={} dir={} mu={} b={} pd={} pc={} nt={} exec={} kernel={} meas={} score_ns={}",
+        "plan dims={} dir={} mu={} b={} pd={} pc={} nt={} exec={} meas={} score_ns={}",
         dims_token(&rec.dims),
         match rec.dir {
             Direction::Forward => "fwd",
@@ -223,7 +227,6 @@ fn record_line(rec: &TuningRecord) -> String {
             ExecutorKind::Pipelined => "pipe",
             ExecutorKind::Fused => "fused",
         },
-        rec.kernel.token(),
         u8::from(rec.measured),
         // f64 Display is shortest-roundtrip in Rust, so parse() gets
         // the identical value back.
@@ -248,7 +251,6 @@ fn parse_record_line(line: &str, line_no: usize) -> Result<TuningRecord, TunerEr
     let mut pc = None;
     let mut nt = None;
     let mut exec = None;
-    let mut kernel = None;
     let mut meas = None;
     let mut score = None;
 
@@ -281,11 +283,6 @@ fn parse_record_line(line: &str, line_no: usize) -> Result<TuningRecord, TunerEr
                     other => return Err(err(format!("unknown executor `{other}`"))),
                 })
             }
-            "kernel" => {
-                kernel = Some(KernelVariant::from_token(value).ok_or_else(|| {
-                    err(format!("unknown kernel variant `{value}`"))
-                })?)
-            }
             "meas" => meas = Some(num(value)? != 0),
             "score_ns" => {
                 let v: f64 = value
@@ -300,7 +297,7 @@ fn parse_record_line(line: &str, line_no: usize) -> Result<TuningRecord, TunerEr
         }
     }
 
-    match (dims, dir, mu, b, pd, pc, nt, exec, kernel, meas, score) {
+    match (dims, dir, mu, b, pd, pc, nt, exec, meas, score) {
         (
             Some(dims),
             Some(dir),
@@ -310,7 +307,6 @@ fn parse_record_line(line: &str, line_no: usize) -> Result<TuningRecord, TunerEr
             Some(p_c),
             Some(non_temporal),
             Some(executor),
-            Some(kernel),
             Some(measured),
             Some(score_ns),
         ) => Ok(TuningRecord {
@@ -322,7 +318,6 @@ fn parse_record_line(line: &str, line_no: usize) -> Result<TuningRecord, TunerEr
             p_c,
             non_temporal,
             executor,
-            kernel,
             score_ns,
             measured,
         }),
@@ -352,7 +347,6 @@ mod tests {
             p_c: 6,
             non_temporal: true,
             executor: ExecutorKind::Fused,
-            kernel: KernelVariant::StockhamRadix4,
             score_ns: 123456.75,
             measured: true,
         }
@@ -365,7 +359,6 @@ mod tests {
         w.records.push(TuningRecord {
             dims: Dims::d2(64, 64),
             dir: Direction::Forward,
-            kernel: KernelVariant::Stockham,
             executor: ExecutorKind::Pipelined,
             non_temporal: false,
             measured: false,
@@ -402,11 +395,16 @@ mod tests {
         let dir = std::env::temp_dir().join("bwfft-wisdom-test-mismatch");
         std::fs::create_dir_all(&dir).unwrap();
 
-        let v2 = dir.join("v2.wisdom");
-        std::fs::write(&v2, format!("bwfft-wisdom v2\nhost {}\n", fp().token())).unwrap();
+        let next = WISDOM_VERSION + 1;
+        let future = dir.join("future.wisdom");
+        std::fs::write(
+            &future,
+            format!("bwfft-wisdom v{next}\nhost {}\n", fp().token()),
+        )
+        .unwrap();
         assert_eq!(
-            load(&v2, &fp()).unwrap(),
-            WisdomLoad::Retune(RetuneReason::VersionMismatch { found: 2 })
+            load(&future, &fp()).unwrap(),
+            WisdomLoad::Retune(RetuneReason::VersionMismatch { found: next })
         );
 
         let other = dir.join("other-host.wisdom");
@@ -416,12 +414,48 @@ mod tests {
         };
         std::fs::write(
             &other,
-            format!("bwfft-wisdom v1\nhost {}\n", other_fp.token()),
+            format!(
+                "bwfft-wisdom v{WISDOM_VERSION}\nhost {}\n",
+                other_fp.token()
+            ),
         )
         .unwrap();
         assert_eq!(
             load(&other, &fp()).unwrap(),
             WisdomLoad::Retune(RetuneReason::HostMismatch { found: other_fp })
+        );
+    }
+
+    #[test]
+    fn load_reads_the_version_before_any_record() {
+        // Another version's records need not follow this grammar: the
+        // file must retune, not fail to parse.
+        let dir = std::env::temp_dir().join("bwfft-wisdom-test-version-first");
+        std::fs::create_dir_all(&dir).unwrap();
+
+        let next = WISDOM_VERSION + 1;
+        let future = dir.join("future.wisdom");
+        let text = format!(
+            "bwfft-wisdom v{next}\nhost {}\nplan dims=2d:8x8 shape=new meas=0\n",
+            fp().token()
+        );
+        std::fs::write(&future, text).unwrap();
+        assert_eq!(
+            load(&future, &fp()).unwrap(),
+            WisdomLoad::Retune(RetuneReason::VersionMismatch { found: next })
+        );
+
+        let v1 = dir.join("v1.wisdom");
+        let text = format!(
+            "bwfft-wisdom v1\nhost {}\n\
+             plan dims=2d:64x64 dir=fwd mu=4 b=512 pd=1 pc=1 nt=1 exec=fused kernel=r2 meas=0 score_ns=1.5\n\
+             plan dims=2d:32x32 dir=fwd mu=4 b=256 pd=1 pc=1 nt=1 exec=fused kernel=r4 meas=1 score_ns=2.5\n",
+            fp().token()
+        );
+        std::fs::write(&v1, text).unwrap();
+        assert_eq!(
+            load(&v1, &fp()).unwrap(),
+            WisdomLoad::Retune(RetuneReason::VersionMismatch { found: 1 })
         );
     }
 
@@ -459,7 +493,7 @@ mod tests {
     #[test]
     fn nonfinite_scores_rejected() {
         let text = format!(
-            "bwfft-wisdom v1\nhost {}\nplan dims=2d:8x8 dir=fwd mu=1 b=64 pd=1 pc=1 nt=0 exec=pipe kernel=r2 meas=0 score_ns=NaN",
+            "bwfft-wisdom v{WISDOM_VERSION}\nhost {}\nplan dims=2d:8x8 dir=fwd mu=1 b=64 pd=1 pc=1 nt=0 exec=pipe meas=0 score_ns=NaN",
             fp().token()
         );
         assert!(matches!(

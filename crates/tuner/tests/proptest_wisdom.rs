@@ -6,7 +6,7 @@
 //!    fail these tests; the harness does not catch unwinds.)
 
 use bwfft_core::{Dims, ExecutorKind};
-use bwfft_kernels::{Direction, KernelVariant};
+use bwfft_kernels::Direction;
 use bwfft_tuner::{TunerError, TuningRecord, Wisdom, HostFingerprint, WISDOM_VERSION};
 use proptest::prelude::*;
 use proptest::strategy::Strategy;
@@ -27,13 +27,13 @@ fn arb_record() -> impl Strategy<Value = TuningRecord> {
             1usize..22,
         ),
         (1usize..64, 1usize..64, any::<bool>(), any::<bool>()),
-        (any::<bool>(), any::<bool>(), 0.0f64..1e12),
+        (any::<bool>(), 0.0f64..1e12),
     )
         .prop_map(
             |(
                 (dims, fwd, mu, b_log2),
                 (p_d, p_c, non_temporal, fused),
-                (r4, measured, score_ns),
+                (measured, score_ns),
             )| {
                 TuningRecord {
                     dims,
@@ -44,7 +44,6 @@ fn arb_record() -> impl Strategy<Value = TuningRecord> {
                     p_c,
                     non_temporal,
                     executor: if fused { ExecutorKind::Fused } else { ExecutorKind::Pipelined },
-                    kernel: if r4 { KernelVariant::StockhamRadix4 } else { KernelVariant::Stockham },
                     score_ns,
                     measured,
                 }

@@ -57,6 +57,20 @@ echo "$out2" | grep -q "tuning skipped (wisdom hit)" \
   || { echo "tuner smoke FAILED: wisdom not reused in:"; echo "$out2"; exit 1; }
 echo "$out2" | grep -q "misses=0" \
   || { echo "tuner smoke FAILED: expected misses=0 in:"; echo "$out2"; exit 1; }
+# Third run: a version-1 file, whose records carry the retired
+# `kernel=` field, must retune with the typed version reason instead of
+# failing to parse. Its host line is copied from the saved file.
+host_line="$(sed -n 2p "$wisdom")"
+printf 'bwfft-wisdom v1\n%s\nplan dims=2d:32x32 dir=fwd mu=4 b=256 pd=1 pc=1 nt=1 exec=fused kernel=r4 meas=1 score_ns=1000\n' \
+  "$host_line" > "$wisdom"
+out3="$(cargo run -q --bin bwfft-cli -- tune --dims 32x32 --model-only --wisdom "$wisdom")" \
+  || { echo "tuner smoke FAILED: v1 wisdom run exited non-zero:"; echo "$out3"; exit 1; }
+echo "$out3" | grep -qF "tuning from scratch (wisdom version v1 != supported v2)" \
+  || { echo "tuner smoke FAILED: v1 wisdom not retuned by version in:"; echo "$out3"; exit 1; }
+# Fourth run: the file the third run rewrote must hit.
+out4="$(cargo run -q --bin bwfft-cli -- tune --dims 32x32 --model-only --wisdom "$wisdom")"
+echo "$out4" | grep -q "tuning skipped (wisdom hit)" \
+  || { echo "tuner smoke FAILED: rewritten wisdom not reused in:"; echo "$out4"; exit 1; }
 echo "tuner smoke: OK"
 
 echo "== profile smoke (--profile=json emits parseable, finite report) =="

@@ -1,4 +1,4 @@
-//! Golden-vector conformance suite: every kernel variant against the
+//! Golden-vector conformance suite: every 1D kernel against the
 //! naive `O(n²)` reference DFT, on analytically-known inputs plus
 //! random vectors, across 1D/2D/3D shapes and both directions.
 //!
@@ -9,7 +9,7 @@
 //! the unnormalized transform's `O(n)` output growth and makes one
 //! bound meaningful across sizes:
 //!
-//! * power-of-two kernels (radix-2 / radix-4 Stockham, split-radix):
+//! * the power-of-two kernel (radix-2 Stockham):
 //!   observed worst case stays below ~64 ULP for `n ≤ 4096`; the
 //!   contract is [`POW2_ULP_BOUND`] = 512 ULP (≈8× headroom).
 //! * Bluestein embeds `DFT_n` in a length-`M ≥ 2n−1` cyclic
@@ -26,8 +26,7 @@ use bwfft::core::{exec_real, Dims, FftPlan};
 use bwfft::kernels::batch::BatchFft;
 use bwfft::kernels::bluestein::{AnyFft, Bluestein};
 use bwfft::kernels::reference::{dft2_naive, dft3_naive, dft_naive};
-use bwfft::kernels::splitradix::SplitRadixFft;
-use bwfft::kernels::{Direction, KernelVariant};
+use bwfft::kernels::Direction;
 use bwfft::num::signal::{complex_tone, impulse, random_complex};
 use bwfft::num::Complex64;
 
@@ -84,14 +83,9 @@ fn kernel_outputs(x: &[Complex64], dir: Direction) -> Vec<(String, Vec<Complex64
     let n = x.len();
     let mut out = Vec::new();
     if n.is_power_of_two() {
-        for variant in KernelVariant::all() {
-            let mut buf = x.to_vec();
-            BatchFft::with_variant(n, 1, dir, variant).run(&mut buf);
-            out.push((format!("stockham-{}", variant.token()), buf, POW2_ULP_BOUND));
-        }
         let mut buf = x.to_vec();
-        SplitRadixFft::new(n, dir).run(&mut buf);
-        out.push(("splitradix".to_string(), buf, POW2_ULP_BOUND));
+        BatchFft::new(n, 1, dir).run(&mut buf);
+        out.push(("stockham".to_string(), buf, POW2_ULP_BOUND));
     }
     let mut buf = x.to_vec();
     Bluestein::new(n, dir).run(&mut buf);
@@ -152,34 +146,31 @@ fn batched_strided_kernels_match_per_pencil_reference() {
     let (m, s, c) = (16usize, 4, 3);
     let x = random_complex(c * m * s, 7200);
     for dir in [Direction::Forward, Direction::Inverse] {
-        for variant in KernelVariant::all() {
-            let mut buf = x.clone();
-            BatchFft::with_variant(m, s, dir, variant).run(&mut buf);
-            for ci in 0..c {
-                for lane in 0..s {
-                    let gather = |src: &[Complex64]| -> Vec<Complex64> {
-                        (0..m).map(|j| src[(ci * m + j) * s + lane]).collect()
-                    };
-                    let reference = dft_naive(&gather(&x), dir);
-                    assert_ulp_close(
-                        &gather(&buf),
-                        &reference,
-                        POW2_ULP_BOUND,
-                        &format!("batch {}@(c={ci},lane={lane}) {dir:?}", variant.token()),
-                    );
-                }
+        let mut buf = x.clone();
+        BatchFft::new(m, s, dir).run(&mut buf);
+        for ci in 0..c {
+            for lane in 0..s {
+                let gather = |src: &[Complex64]| -> Vec<Complex64> {
+                    (0..m).map(|j| src[(ci * m + j) * s + lane]).collect()
+                };
+                let reference = dft_naive(&gather(&x), dir);
+                assert_ulp_close(
+                    &gather(&buf),
+                    &reference,
+                    POW2_ULP_BOUND,
+                    &format!("batch @(c={ci},lane={lane}) {dir:?}"),
+                );
             }
         }
     }
 }
 
 #[allow(clippy::unwrap_used)] // test helper; only #[test] fns get the blanket allowance
-fn run_plan(dims: Dims, variant: KernelVariant, dir: Direction, x: &[Complex64]) -> Vec<Complex64> {
+fn run_plan(dims: Dims, dir: Direction, x: &[Complex64]) -> Vec<Complex64> {
     let plan = FftPlan::builder(dims)
         .buffer_elems(128)
         .threads(2, 2)
         .direction(dir)
-        .kernel(variant)
         .build()
         .unwrap();
     let mut data = x.to_vec();
@@ -189,39 +180,35 @@ fn run_plan(dims: Dims, variant: KernelVariant, dir: Direction, x: &[Complex64])
 }
 
 #[test]
-fn golden_vectors_2d_both_variants_both_directions() {
+fn golden_vectors_2d_both_directions() {
     let (n, m) = (16usize, 32);
     for dir in [Direction::Forward, Direction::Inverse] {
         for (input_name, x) in golden_inputs(n * m, 7300) {
             let reference = dft2_naive(&x, n, m, dir);
-            for variant in KernelVariant::all() {
-                let got = run_plan(Dims::d2(n, m), variant, dir, &x);
-                assert_ulp_close(
-                    &got,
-                    &reference,
-                    POW2_ULP_BOUND,
-                    &format!("2D {}x{m} {} {dir:?} on {input_name}", n, variant.token()),
-                );
-            }
+            let got = run_plan(Dims::d2(n, m), dir, &x);
+            assert_ulp_close(
+                &got,
+                &reference,
+                POW2_ULP_BOUND,
+                &format!("2D {n}x{m} {dir:?} on {input_name}"),
+            );
         }
     }
 }
 
 #[test]
-fn golden_vectors_3d_both_variants_both_directions() {
+fn golden_vectors_3d_both_directions() {
     let (k, n, m) = (8usize, 8, 16);
     for dir in [Direction::Forward, Direction::Inverse] {
         for (input_name, x) in golden_inputs(k * n * m, 7400) {
             let reference = dft3_naive(&x, k, n, m, dir);
-            for variant in KernelVariant::all() {
-                let got = run_plan(Dims::d3(k, n, m), variant, dir, &x);
-                assert_ulp_close(
-                    &got,
-                    &reference,
-                    POW2_ULP_BOUND,
-                    &format!("3D {k}x{n}x{m} {} {dir:?} on {input_name}", variant.token()),
-                );
-            }
+            let got = run_plan(Dims::d3(k, n, m), dir, &x);
+            assert_ulp_close(
+                &got,
+                &reference,
+                POW2_ULP_BOUND,
+                &format!("3D {k}x{n}x{m} {dir:?} on {input_name}"),
+            );
         }
     }
 }
@@ -288,13 +275,11 @@ fn parseval_invariant_2d_plan() {
     let (n, m) = (32usize, 16);
     let x = random_complex(n * m, 7800);
     let time_energy: f64 = x.iter().map(|c| c.norm_sqr()).sum();
-    for variant in KernelVariant::all() {
-        let spectrum = run_plan(Dims::d2(n, m), variant, Direction::Forward, &x);
-        let freq_energy: f64 = spectrum.iter().map(|c| c.norm_sqr()).sum();
-        let total = (n * m) as f64;
-        let rel = (freq_energy - total * time_energy).abs() / (total * time_energy);
-        assert!(rel < 1e-12, "2D Parseval violated ({}) rel {rel:.2e}", variant.token());
-    }
+    let spectrum = run_plan(Dims::d2(n, m), Direction::Forward, &x);
+    let freq_energy: f64 = spectrum.iter().map(|c| c.norm_sqr()).sum();
+    let total = (n * m) as f64;
+    let rel = (freq_energy - total * time_energy).abs() / (total * time_energy);
+    assert!(rel < 1e-12, "2D Parseval violated, rel {rel:.2e}");
 }
 
 // ---------------------------------------------------------------------------

@@ -1,14 +1,13 @@
 //! Integration tests for the extensions built beyond the paper's
 //! scope: the four-step large 1D FFT, arbitrary-size Bluestein
-//! transforms, the fused (no-overlap) executor, and the radix-4
-//! kernel wired through the public facade.
+//! transforms, and the fused (no-overlap) executor.
 
 use bwfft::core::fft1d::{execute as fft1d_execute, Fft1dLargePlan};
 use bwfft::core::{exec_real, Dims, FftPlan};
+use bwfft::kernels::batch::BatchFft;
 use bwfft::kernels::bluestein::{AnyFft, Bluestein};
-use bwfft::kernels::radix4::{stockham_radix4_strided, Radix4Twiddles};
 use bwfft::kernels::reference::dft_naive;
-use bwfft::kernels::{Direction, Fft1d};
+use bwfft::kernels::Direction;
 use bwfft::num::compare::{assert_fft_close, rel_l2_error};
 use bwfft::num::signal::random_complex;
 use bwfft::num::Complex64;
@@ -23,7 +22,7 @@ fn four_step_1d_equals_monolithic_kernel() {
     let mut work = vec![Complex64::ZERO; n];
     fft1d_execute(&plan, &mut data, &mut work).unwrap();
     let mut expect = x.clone();
-    Fft1d::new(n, Direction::Forward).run(&mut expect);
+    BatchFft::new(n, 1, Direction::Forward).run(&mut expect);
     assert_fft_close(&data, &expect);
 }
 
@@ -51,19 +50,6 @@ fn any_fft_covers_a_size_sweep() {
         let err = rel_l2_error(&got, &expect);
         assert!(err < 1e-10, "n={n}: err={err:e}");
     }
-}
-
-#[test]
-fn radix4_through_facade_matches_stockham() {
-    let n = 4096;
-    let x = random_complex(n, 972);
-    let mut a = x.clone();
-    Fft1d::new(n, Direction::Forward).run(&mut a);
-    let mut b = x.clone();
-    let mut scratch = vec![Complex64::ZERO; n];
-    let tw = Radix4Twiddles::new(n, Direction::Forward);
-    stockham_radix4_strided(&mut b, &mut scratch, n, 1, &tw);
-    assert_fft_close(&b, &a);
 }
 
 #[test]

@@ -2,8 +2,9 @@
 //! size, extreme inputs, and exact special cases.
 
 use bwfft::core::{exec_real, Dims, FftPlan};
+use bwfft::kernels::batch::BatchFft;
 use bwfft::kernels::reference::dft_naive;
-use bwfft::kernels::{Direction, Fft1d};
+use bwfft::kernels::Direction;
 use bwfft::num::compare::rel_l2_error;
 use bwfft::num::signal::random_complex;
 use bwfft::num::Complex64;
@@ -18,7 +19,7 @@ fn error_growth_is_logarithmic_in_size() {
         let n = 1usize << lg;
         let x = random_complex(n, 700 + lg as u64);
         let mut got = x.clone();
-        Fft1d::new(n, Direction::Forward).run(&mut got);
+        BatchFft::new(n, 1, Direction::Forward).run(&mut got);
         let expect = dft_naive(&x, Direction::Forward);
         errors.push(rel_l2_error(&got, &expect));
     }
@@ -36,7 +37,7 @@ fn error_growth_is_logarithmic_in_size() {
 fn zeros_map_to_exact_zeros() {
     let n = 1024;
     let mut data = vec![Complex64::ZERO; n];
-    Fft1d::new(n, Direction::Forward).run(&mut data);
+    BatchFft::new(n, 1, Direction::Forward).run(&mut data);
     assert!(data.iter().all(|c| c.re == 0.0 && c.im == 0.0));
 }
 
@@ -46,7 +47,7 @@ fn constant_input_gives_exact_dc_bin() {
     // cancel to round-off.
     let n = 256;
     let mut data = vec![Complex64::ONE; n];
-    Fft1d::new(n, Direction::Forward).run(&mut data);
+    BatchFft::new(n, 1, Direction::Forward).run(&mut data);
     assert_eq!(data[0], Complex64::new(n as f64, 0.0));
     for (k, v) in data.iter().enumerate().skip(1) {
         assert!(v.abs() < 1e-11, "bin {k}: {v}");
@@ -61,12 +62,12 @@ fn large_magnitude_inputs_do_not_overflow() {
         .map(|c| c * 1e150)
         .collect();
     let mut got = x.clone();
-    Fft1d::new(n, Direction::Forward).run(&mut got);
+    BatchFft::new(n, 1, Direction::Forward).run(&mut got);
     assert!(got.iter().all(|c| !c.is_nan() && c.re.is_finite() && c.im.is_finite()));
     // Scale invariance: FFT(s·x) = s·FFT(x).
     let small: Vec<Complex64> = x.iter().map(|c| c.scale(1e-150)).collect();
     let mut small_fft = small;
-    Fft1d::new(n, Direction::Forward).run(&mut small_fft);
+    BatchFft::new(n, 1, Direction::Forward).run(&mut small_fft);
     let rescaled: Vec<Complex64> = got.iter().map(|c| c.scale(1e-150)).collect();
     assert!(rel_l2_error(&rescaled, &small_fft) < 1e-12);
 }
@@ -79,7 +80,7 @@ fn tiny_magnitude_inputs_survive() {
         .map(|c| c * 1e-200)
         .collect();
     let mut got = x.clone();
-    Fft1d::new(n, Direction::Forward).run(&mut got);
+    BatchFft::new(n, 1, Direction::Forward).run(&mut got);
     // Energy preserved (scaled by n) without underflow to zero. The
     // squares of 1e-200 magnitudes underflow f64, so rescale before
     // computing norms — the transform itself ran at 1e-200.
@@ -118,8 +119,8 @@ fn repeated_roundtrips_accumulate_slowly() {
     let n = 1024;
     let x = random_complex(n, 704);
     let mut data = x.clone();
-    let mut fwd = Fft1d::new(n, Direction::Forward);
-    let mut inv = Fft1d::new(n, Direction::Inverse);
+    let mut fwd = BatchFft::new(n, 1, Direction::Forward);
+    let mut inv = BatchFft::new(n, 1, Direction::Inverse);
     for _ in 0..8 {
         fwd.run(&mut data);
         inv.run(&mut data);

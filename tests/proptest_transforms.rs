@@ -3,7 +3,8 @@
 
 use bwfft::baselines::reference_impl::pencil_fft_3d;
 use bwfft::core::{exec_real, Dims, FftPlan};
-use bwfft::kernels::{Direction, Fft1d};
+use bwfft::kernels::batch::BatchFft;
+use bwfft::kernels::Direction;
 use bwfft::num::compare::rel_l2_error;
 use bwfft::num::signal::random_complex;
 use bwfft::num::Complex64;
@@ -98,7 +99,7 @@ proptest! {
         let n = 1usize << lg;
         let x = random_complex(n, seed);
         let mut data = x.clone();
-        Fft1d::new(n, Direction::Forward).run(&mut data);
+        BatchFft::new(n, 1, Direction::Forward).run(&mut data);
         let ex: f64 = x.iter().map(|c| c.norm_sqr()).sum();
         let ey: f64 = data.iter().map(|c| c.norm_sqr()).sum();
         prop_assert!(((ey - n as f64 * ex) / (n as f64 * ex)).abs() < 1e-11);
@@ -115,7 +116,7 @@ proptest! {
             .into_iter()
             .map(|c| Complex64::new(c.re, 0.0))
             .collect();
-        Fft1d::new(n, Direction::Forward).run(&mut data);
+        BatchFft::new(n, 1, Direction::Forward).run(&mut data);
         for k in 1..n {
             let a = data[k];
             let b = data[n - k].conj();
