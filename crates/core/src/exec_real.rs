@@ -29,26 +29,22 @@ use bwfft_spl::gather_scatter::{StagePerm, WriteMatrix};
 use bwfft_trace::{MarkKind, TraceCollector};
 use core::marker::PhantomData;
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Knobs for a single execution: the fault-tolerance watchdog, the
 /// (test-only in spirit, but public) fault-injection plan, and the
 /// optional observability collector.
 #[derive(Clone, Debug, Default)]
 pub struct ExecConfig {
-    /// Per-iteration watchdog: if any pipeline barrier waits longer
-    /// than this, the run aborts with `PipelineError::StageTimeout`
-    /// instead of hanging. Superseded by
-    /// [`adaptive_watchdog`](Self::adaptive_watchdog) when that is set.
-    pub iter_timeout: Option<Duration>,
     /// Deterministic fault injection (worker panic, stall, denied
     /// pinning) forwarded to the pipeline executor.
     pub fault: Option<FaultPlan>,
     /// Span/mark sink for `--profile` runs. `None` (the default) keeps
     /// the executor's hot path clock-free.
     pub trace: Option<Arc<TraceCollector>>,
-    /// Measured-epoch watchdog: stall detection from observed iteration
-    /// times rather than an assumed `iter_timeout` constant.
+    /// Watchdog: if any pipeline barrier waits longer than its budget
+    /// (derived from observed iteration times, or constant with
+    /// [`AdaptiveWatchdog::fixed`]), the run aborts with
+    /// `PipelineError::StageTimeout` instead of hanging.
     pub adaptive_watchdog: Option<AdaptiveWatchdog>,
     /// Pipeline integrity guards (buffer canaries, per-block
     /// checksums), forwarded to every stage's pipeline run. Off by
@@ -350,7 +346,6 @@ fn stage_config(plan: &FftPlan, s: usize, cfg: &ExecConfig) -> PipelineConfig {
         load_unit: plan.mu.min(plan.buffer_elems),
         compute_unit: plan.stages()[s].pencil_elems(),
         pin_cpus: plan.pin_cpus.clone(),
-        iter_timeout: cfg.iter_timeout,
         fault: cfg.fault.clone(),
         stage: s,
         trace: cfg.trace.clone(),
@@ -793,6 +788,7 @@ mod fault_tests {
     use bwfft_num::compare::assert_fft_close;
     use bwfft_num::signal::random_complex;
     use bwfft_pipeline::Role;
+    use std::time::Duration;
 
     #[test]
     fn length_mismatch_is_typed_not_a_panic() {
@@ -821,7 +817,7 @@ mod fault_tests {
         let mut data = x.clone();
         let mut work = vec![Complex64::ZERO; 512];
         let cfg = ExecConfig {
-            iter_timeout: Some(Duration::from_secs(2)),
+            adaptive_watchdog: Some(AdaptiveWatchdog::fixed(Duration::from_secs(2))),
             fault: Some(FaultPlan::panic_at(Role::Compute, 0, 1)),
             ..Default::default()
         };
@@ -982,7 +978,7 @@ mod fault_tests {
         let mut work = vec![Complex64::ZERO; 512];
         let cfg = ExecConfig {
             integrity: IntegrityConfig::full(),
-            iter_timeout: Some(Duration::from_secs(5)),
+            adaptive_watchdog: Some(AdaptiveWatchdog::fixed(Duration::from_secs(5))),
             fault: Some(FaultPlan::corrupt_at(
                 bwfft_pipeline::Role::Data,
                 0,

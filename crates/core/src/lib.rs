@@ -56,7 +56,7 @@ pub use error::CoreError;
 pub use exec_real::{ExecConfig, ExecReport};
 pub use host::{DegradationReason, ExecutorKind, HostProfile};
 pub use plan::{Dims, FftPlan, FftPlanBuilder, PlanError};
-pub use real::{ConvReport, RealFftPlan, RealFftPlanBuilder, SpectralConvPlan};
+pub use real::{RealFftPlan, RealFftPlanBuilder, SpectralConvPlan};
 pub use reference::execute_reference;
 pub use supervisor::{
     RecoveryAction, RecoveryEvent, RecoveryTier, RetryPolicy, SupervisedReport, Supervisor,

@@ -214,9 +214,7 @@ impl Supervisor {
         snapshot.copy_from_slice(data);
 
         let mut cfg = cfg.clone();
-        if cfg.adaptive_watchdog.is_none() && cfg.iter_timeout.is_none() {
-            cfg.adaptive_watchdog = self.policy.watchdog;
-        }
+        cfg.adaptive_watchdog = cfg.adaptive_watchdog.or(self.policy.watchdog);
 
         let mut events: Vec<RecoveryEvent> = Vec::new();
         let mut attempts_total = 0usize;

@@ -277,15 +277,6 @@ impl RealFft1d {
         unfold_real(&self.scratch, 1.0, out);
     }
 
-    /// [`c2r`](Self::c2r) scaled by `1/n`, so `c2r_normalized ∘ r2c`
-    /// is the identity.
-    pub fn c2r_normalized(&mut self, spec: &[Complex64], out: &mut [f64]) {
-        self.c2r(spec, out);
-        let s = 1.0 / self.n as f64;
-        for v in out.iter_mut() {
-            *v *= s;
-        }
-    }
 }
 
 /// A planned, fused 1D spectral convolution against a fixed real
@@ -362,188 +353,6 @@ pub fn conv_direct(x: &[f64], g: &[f64]) -> Vec<f64> {
     out
 }
 
-/// Why a batched/strided real layout was rejected.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum RealLayoutError {
-    /// The transform length is not a power of two.
-    NotPow2 { n: usize },
-    /// A stride or (with `howmany > 1`) a distance is zero, so
-    /// transforms would alias each other.
-    ZeroStride,
-    /// The real-side array is shorter than the descriptor's span.
-    RealOutOfBounds { needed: usize, got: usize },
-    /// The spectrum-side array is shorter than the descriptor's span.
-    SpectrumOutOfBounds { needed: usize, got: usize },
-}
-
-impl core::fmt::Display for RealLayoutError {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        match self {
-            RealLayoutError::NotPow2 { n } => {
-                write!(f, "real transform length {n} must be a power of two")
-            }
-            RealLayoutError::ZeroStride => {
-                write!(f, "strides and distances must be nonzero")
-            }
-            RealLayoutError::RealOutOfBounds { needed, got } => {
-                write!(f, "real array has {got} elements, layout spans {needed}")
-            }
-            RealLayoutError::SpectrumOutOfBounds { needed, got } => {
-                write!(f, "spectrum array has {got} elements, layout spans {needed}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for RealLayoutError {}
-
-/// FFTW `plan_many`-style batched/strided descriptor for real
-/// transforms: `howmany` transforms of length `n`, with per-element
-/// strides and transform-to-transform distances on both the real and
-/// the packed-spectrum side (all in elements of the respective type).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct RealManyDescriptor {
-    pub n: usize,
-    pub howmany: usize,
-    /// Distance between consecutive samples of one transform (reals).
-    pub real_stride: usize,
-    /// Distance between the first samples of consecutive transforms.
-    pub real_dist: usize,
-    /// Distance between consecutive packed bins of one transform.
-    pub spec_stride: usize,
-    /// Distance between the first bins of consecutive transforms.
-    pub spec_dist: usize,
-}
-
-impl RealManyDescriptor {
-    /// The dense layout: unit strides, transforms back to back.
-    pub fn contiguous(n: usize, howmany: usize) -> Self {
-        Self {
-            n,
-            howmany,
-            real_stride: 1,
-            real_dist: n,
-            spec_stride: 1,
-            spec_dist: packed_spectrum_len(n),
-        }
-    }
-
-    /// Elements the real side must provide (0 when `howmany == 0`).
-    pub fn real_span(&self) -> usize {
-        if self.howmany == 0 {
-            return 0;
-        }
-        (self.howmany - 1) * self.real_dist + (self.n - 1) * self.real_stride + 1
-    }
-
-    /// Elements the spectrum side must provide.
-    pub fn spec_span(&self) -> usize {
-        if self.howmany == 0 {
-            return 0;
-        }
-        (self.howmany - 1) * self.spec_dist
-            + (packed_spectrum_len(self.n) - 1) * self.spec_stride
-            + 1
-    }
-
-    /// Validates the descriptor against concrete array lengths.
-    pub fn validate(&self, real_len: usize, spec_len: usize) -> Result<(), RealLayoutError> {
-        if !is_pow2(self.n) {
-            return Err(RealLayoutError::NotPow2 { n: self.n });
-        }
-        if self.real_stride == 0
-            || self.spec_stride == 0
-            || (self.howmany > 1 && (self.real_dist == 0 || self.spec_dist == 0))
-        {
-            return Err(RealLayoutError::ZeroStride);
-        }
-        let needed = self.real_span();
-        if real_len < needed {
-            return Err(RealLayoutError::RealOutOfBounds {
-                needed,
-                got: real_len,
-            });
-        }
-        let needed = self.spec_span();
-        if spec_len < needed {
-            return Err(RealLayoutError::SpectrumOutOfBounds {
-                needed,
-                got: spec_len,
-            });
-        }
-        Ok(())
-    }
-}
-
-/// A batched/strided real transform plan: one [`RealFft1d`] driven over
-/// every transform a [`RealManyDescriptor`] describes, gathering and
-/// scattering through the strided layout.
-pub struct RealFftMany {
-    desc: RealManyDescriptor,
-    plan: RealFft1d,
-    gather_x: Vec<f64>,
-    gather_s: Vec<Complex64>,
-}
-
-impl RealFftMany {
-    pub fn new(desc: RealManyDescriptor) -> Result<Self, RealLayoutError> {
-        // Array bounds are checked per call; the shape must be sane now.
-        desc.validate(desc.real_span(), desc.spec_span())?;
-        Ok(Self {
-            desc,
-            plan: RealFft1d::new(desc.n),
-            gather_x: vec![0.0; desc.n],
-            gather_s: vec![Complex64::ZERO; packed_spectrum_len(desc.n)],
-        })
-    }
-
-    pub fn descriptor(&self) -> &RealManyDescriptor {
-        &self.desc
-    }
-
-    /// Forward transforms of every batch member: strided real input →
-    /// strided packed spectra.
-    pub fn r2c_many(
-        &mut self,
-        input: &[f64],
-        out: &mut [Complex64],
-    ) -> Result<(), RealLayoutError> {
-        self.desc.validate(input.len(), out.len())?;
-        let d = self.desc;
-        for t in 0..d.howmany {
-            for (j, g) in self.gather_x.iter_mut().enumerate() {
-                *g = input[t * d.real_dist + j * d.real_stride];
-            }
-            self.plan.r2c(&self.gather_x, &mut self.gather_s);
-            for (k, v) in self.gather_s.iter().enumerate() {
-                out[t * d.spec_dist + k * d.spec_stride] = *v;
-            }
-        }
-        Ok(())
-    }
-
-    /// Inverse transforms of every batch member (unnormalized, like
-    /// [`RealFft1d::c2r`]): strided packed spectra → strided reals.
-    pub fn c2r_many(
-        &mut self,
-        spec: &[Complex64],
-        out: &mut [f64],
-    ) -> Result<(), RealLayoutError> {
-        self.desc.validate(out.len(), spec.len())?;
-        let d = self.desc;
-        for t in 0..d.howmany {
-            for (k, g) in self.gather_s.iter_mut().enumerate() {
-                *g = spec[t * d.spec_dist + k * d.spec_stride];
-            }
-            self.plan.c2r(&self.gather_s, &mut self.gather_x);
-            for (j, v) in self.gather_x.iter().enumerate() {
-                out[t * d.real_dist + j * d.real_stride] = *v;
-            }
-        }
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -586,10 +395,6 @@ mod tests {
             plan.c2r(&spec, &mut back);
             for (b, v) in back.iter().zip(&x) {
                 assert!((b - v * n as f64).abs() < 1e-9 * n as f64);
-            }
-            plan.c2r_normalized(&spec, &mut back);
-            for (b, v) in back.iter().zip(&x) {
-                assert!((b - v).abs() < 1e-11);
             }
         }
     }
@@ -684,74 +489,5 @@ mod tests {
         for (a, b) in fused.iter().zip(&unfused) {
             assert!((a - b).abs() < 1e-10);
         }
-    }
-
-    #[test]
-    fn strided_batch_matches_contiguous() {
-        let n = 32;
-        let howmany = 3;
-        let xs: Vec<Vec<f64>> = (0..howmany).map(|t| random_real(n, 40 + t as u64)).collect();
-
-        // Contiguous reference.
-        let mut contig = RealFftMany::new(RealManyDescriptor::contiguous(n, howmany))
-            .expect("contiguous layout");
-        let flat: Vec<f64> = xs.concat();
-        let mut spec_c = vec![Complex64::ZERO; howmany * (n / 2 + 1)];
-        contig.r2c_many(&flat, &mut spec_c).expect("contiguous r2c");
-
-        // Interleaved layout: sample j of transform t at j·howmany + t.
-        let desc = RealManyDescriptor {
-            n,
-            howmany,
-            real_stride: howmany,
-            real_dist: 1,
-            spec_stride: howmany,
-            spec_dist: 1,
-        };
-        let mut interleaved = vec![0.0; n * howmany];
-        for (t, x) in xs.iter().enumerate() {
-            for (j, v) in x.iter().enumerate() {
-                interleaved[j * howmany + t] = *v;
-            }
-        }
-        let mut many = RealFftMany::new(desc).expect("strided layout");
-        let mut spec_s = vec![Complex64::ZERO; (n / 2 + 1) * howmany];
-        many.r2c_many(&interleaved, &mut spec_s).expect("strided r2c");
-        for t in 0..howmany {
-            for k in 0..=n / 2 {
-                let a = spec_c[t * (n / 2 + 1) + k];
-                let b = spec_s[k * howmany + t];
-                assert!((a - b).abs() < 1e-12, "t={t} k={k}");
-            }
-        }
-
-        // And the strided inverse round-trips to n·x.
-        let mut back = vec![0.0; n * howmany];
-        many.c2r_many(&spec_s, &mut back).expect("strided c2r");
-        for (a, b) in back.iter().zip(&interleaved) {
-            assert!((a - b * n as f64).abs() < 1e-9 * n as f64);
-        }
-    }
-
-    #[test]
-    fn bad_layouts_are_typed_errors() {
-        assert_eq!(
-            RealManyDescriptor::contiguous(12, 1)
-                .validate(12, 7)
-                .expect_err("non-pow2"),
-            RealLayoutError::NotPow2 { n: 12 }
-        );
-        let mut d = RealManyDescriptor::contiguous(8, 2);
-        d.real_dist = 0;
-        assert_eq!(d.validate(16, 10).expect_err("alias"), RealLayoutError::ZeroStride);
-        let d = RealManyDescriptor::contiguous(8, 2);
-        assert!(matches!(
-            d.validate(15, 10).expect_err("short real"),
-            RealLayoutError::RealOutOfBounds { needed: 16, got: 15 }
-        ));
-        assert!(matches!(
-            d.validate(16, 9).expect_err("short spec"),
-            RealLayoutError::SpectrumOutOfBounds { needed: 10, got: 9 }
-        ));
     }
 }

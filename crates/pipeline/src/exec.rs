@@ -26,7 +26,7 @@
 //!   re-checks a shared abort flag while waiting, so when any worker
 //!   trips the flag all peers *drain* (exit their step loop) instead of
 //!   waiting forever;
-//! * optionally arms a per-wait watchdog ([`PipelineConfig::iter_timeout`])
+//! * optionally arms a per-wait watchdog ([`PipelineConfig::adaptive_watchdog`])
 //!   that converts a stalled peer into a typed
 //!   [`PipelineError::StageTimeout`];
 //! * joins every thread and returns the first failure as a typed
@@ -86,12 +86,6 @@ pub struct PipelineConfig {
     /// Optional CPU pinning: one CPU id per thread, data threads first
     /// then compute threads.
     pub pin_cpus: Option<Vec<usize>>,
-    /// Watchdog: longest a thread may wait at one barrier before the
-    /// run is aborted with [`PipelineError::StageTimeout`]. `None`
-    /// disables the watchdog (waits are unbounded, as with
-    /// `std::sync::Barrier`). Superseded per-wait by
-    /// [`adaptive_watchdog`](Self::adaptive_watchdog) when that is set.
-    pub iter_timeout: Option<Duration>,
     /// Faults to inject (tests / resilience drills). `None` ≡ no faults.
     pub fault: Option<FaultPlan>,
     /// Pipeline stage index stamped onto recorded trace spans (a
@@ -100,9 +94,11 @@ pub struct PipelineConfig {
     /// Span/mark sink. `None` (the default) disables tracing: worker
     /// loops then skip every clock read, so the hot path is unchanged.
     pub trace: Option<Arc<TraceCollector>>,
-    /// Measured-epoch watchdog: barrier-wait budgets derived from the
-    /// slowest *observed* step instead of a caller-guessed constant.
-    /// Takes precedence over [`iter_timeout`](Self::iter_timeout).
+    /// Watchdog: the longest a thread may wait at one barrier before
+    /// the run is aborted with [`PipelineError::StageTimeout`], derived
+    /// from the slowest *observed* step ([`AdaptiveWatchdog::fixed`]
+    /// for a constant budget). `None` disables it (waits are
+    /// unbounded, as with `std::sync::Barrier`).
     pub adaptive_watchdog: Option<AdaptiveWatchdog>,
     /// Integrity guards (canaries, per-block checksums). Disabled by
     /// default: a disabled guard costs nothing on the hot path.
@@ -243,6 +239,28 @@ pub struct AdaptiveWatchdog {
     pub warmup: Duration,
 }
 
+impl AdaptiveWatchdog {
+    /// A constant budget: every wait, measured or not, gets exactly
+    /// `d` (multiplier 0, so the floor `d` always wins).
+    pub fn fixed(d: Duration) -> Self {
+        AdaptiveWatchdog {
+            multiplier: 0.0,
+            min: d,
+            warmup: d,
+        }
+    }
+
+    /// The budget for one wait, given the slowest observed step in ns
+    /// (0 = nothing measured yet).
+    fn budget(&self, measured_ns: u64) -> Duration {
+        if measured_ns == 0 {
+            return self.warmup;
+        }
+        let scaled = (measured_ns as f64 * self.multiplier.max(0.0)).min(u64::MAX as f64);
+        Duration::from_nanos(scaled as u64).max(self.min)
+    }
+}
+
 impl Default for AdaptiveWatchdog {
     fn default() -> Self {
         AdaptiveWatchdog {
@@ -262,7 +280,6 @@ impl Default for PipelineConfig {
             load_unit: 1,
             compute_unit: 1,
             pin_cpus: None,
-            iter_timeout: None,
             fault: None,
             stage: 0,
             trace: None,
@@ -454,7 +471,6 @@ struct RunCtx<'r> {
     data_barrier: &'r AbortableBarrier,
     global_barrier: &'r AbortableBarrier,
     fail: &'r FailureCell,
-    timeout: Option<Duration>,
     faults: Injector<'r>,
     stage: usize,
     watchdog: Option<AdaptiveWatchdog>,
@@ -584,21 +600,11 @@ impl RunCtx<'_> {
         self.epoch_ns.fetch_max(ns, Ordering::Relaxed);
     }
 
-    /// The barrier-wait budget for the next wait: the adaptive policy's
-    /// derived budget when armed, else the static `iter_timeout`.
+    /// The barrier-wait budget for the next wait, `None` when no
+    /// watchdog is armed.
     fn effective_timeout(&self) -> Option<Duration> {
-        match self.watchdog {
-            Some(w) => {
-                let measured = self.epoch_ns.load(Ordering::Relaxed);
-                if measured == 0 {
-                    Some(w.warmup)
-                } else {
-                    let scaled = (measured as f64 * w.multiplier.max(1.0)).min(u64::MAX as f64);
-                    Some(Duration::from_nanos(scaled as u64).max(w.min))
-                }
-            }
-            None => self.timeout,
-        }
+        self.watchdog
+            .map(|w| w.budget(self.epoch_ns.load(Ordering::Relaxed)))
     }
 
     /// Polls the cancellation token at a step boundary. Returns false —
@@ -919,7 +925,6 @@ pub fn run_pipeline(
         data_barrier: &data_barrier,
         global_barrier: &global_barrier,
         fail: &fail,
-        timeout: cfg.iter_timeout,
         faults: Injector {
             fault: cfg.fault.as_ref().unwrap_or(&empty_fault),
             trace: cfg.trace.as_deref(),
@@ -1434,7 +1439,7 @@ mod tests {
             &PipelineConfig {
                 iters: 6,
                 fault: Some(FaultPlan::panic_at(Role::Compute, 0, 3)),
-                iter_timeout: Some(Duration::from_secs(5)),
+                adaptive_watchdog: Some(AdaptiveWatchdog::fixed(Duration::from_secs(5))),
                 ..PipelineConfig::default()
             },
             noop_callbacks(2, 2),
@@ -1492,7 +1497,7 @@ mod tests {
             &buffer,
             &PipelineConfig {
                 iters: 4,
-                iter_timeout: Some(Duration::from_millis(40)),
+                adaptive_watchdog: Some(AdaptiveWatchdog::fixed(Duration::from_millis(40))),
                 fault: Some(FaultPlan::stall_at(
                     Role::Compute,
                     0,
@@ -1591,7 +1596,7 @@ mod tests {
             &PipelineConfig {
                 iters: 8,
                 cancel: Some(token),
-                iter_timeout: Some(Duration::from_secs(5)),
+                adaptive_watchdog: Some(AdaptiveWatchdog::fixed(Duration::from_secs(5))),
                 ..PipelineConfig::default()
             },
             callbacks,
@@ -1616,7 +1621,7 @@ mod tests {
             &buffer,
             &PipelineConfig {
                 iters: 3,
-                iter_timeout: Some(Duration::from_secs(5)),
+                adaptive_watchdog: Some(AdaptiveWatchdog::fixed(Duration::from_secs(5))),
                 fault: Some(FaultPlan::stall_at(
                     Role::Data,
                     0,
@@ -1726,7 +1731,7 @@ mod tests {
                 iters: 4,
                 trace: Some(Arc::clone(&collector)),
                 fault: Some(FaultPlan::panic_at(Role::Compute, 0, 2)),
-                iter_timeout: Some(Duration::from_secs(5)),
+                adaptive_watchdog: Some(AdaptiveWatchdog::fixed(Duration::from_secs(5))),
                 ..PipelineConfig::default()
             },
             noop_callbacks(1, 1),
@@ -1840,7 +1845,7 @@ mod tests {
                     canaries: false,
                 },
                 fault: Some(FaultPlan::corrupt_at(Role::Data, 0, 1, FaultPhase::Load)),
-                iter_timeout: Some(Duration::from_secs(5)),
+                adaptive_watchdog: Some(AdaptiveWatchdog::fixed(Duration::from_secs(5))),
                 ..PipelineConfig::default()
             },
             noop_callbacks(2, 2),
@@ -1870,7 +1875,7 @@ mod tests {
                     2,
                     FaultPhase::Compute,
                 )),
-                iter_timeout: Some(Duration::from_secs(5)),
+                adaptive_watchdog: Some(AdaptiveWatchdog::fixed(Duration::from_secs(5))),
                 ..PipelineConfig::default()
             },
             noop_callbacks(1, 1),
@@ -1917,7 +1922,7 @@ mod tests {
                     canaries: true,
                     checksums: false,
                 },
-                iter_timeout: Some(Duration::from_secs(5)),
+                adaptive_watchdog: Some(AdaptiveWatchdog::fixed(Duration::from_secs(5))),
                 ..PipelineConfig::default()
             },
             noop_callbacks(1, 1),
@@ -1949,7 +1954,7 @@ mod tests {
                     1,
                     FaultPhase::Store,
                 )),
-                iter_timeout: Some(Duration::from_secs(5)),
+                adaptive_watchdog: Some(AdaptiveWatchdog::fixed(Duration::from_secs(5))),
                 ..PipelineConfig::default()
             },
             noop_callbacks(1, 1),
@@ -2116,5 +2121,21 @@ mod tests {
             callbacks,
         )
         .unwrap();
+    }
+
+    #[test]
+    fn fixed_watchdog_budget_is_exact_before_and_after_measurement() {
+        let d = Duration::from_millis(40);
+        let w = AdaptiveWatchdog::fixed(d);
+        // Nothing measured yet, then a fast step, a slow step (above
+        // `d`) and the largest measurable one: always exactly `d`.
+        for measured_ns in [0, 1, 1_000_000, 500_000_000, u64::MAX] {
+            assert_eq!(w.budget(measured_ns), d, "measured {measured_ns} ns");
+        }
+        // The adaptive default still scales with the measurement.
+        let adaptive = AdaptiveWatchdog::default();
+        assert_eq!(adaptive.budget(0), adaptive.warmup);
+        assert_eq!(adaptive.budget(1_000), adaptive.min);
+        assert_eq!(adaptive.budget(100_000_000), Duration::from_millis(800));
     }
 }

@@ -88,7 +88,7 @@ impl FaultSite {
 pub struct StallFault {
     pub site: FaultSite,
     /// How long the worker sleeps before doing its work. With an
-    /// `iter_timeout` shorter than this, peers report
+    /// watchdog budget shorter than this, peers report
     /// `PipelineError::StageTimeout`.
     pub duration: Duration,
 }

@@ -11,7 +11,9 @@
 use bwfft_num::Complex64;
 use bwfft_pipeline::exec::{ComputeFn, LoadFn, PipelineCallbacks, PipelineConfig, StoreFn};
 use bwfft_pipeline::fault::silence_injected_panic_reports;
-use bwfft_pipeline::{run_pipeline, DoubleBuffer, FaultPlan, PipelineError, Role};
+use bwfft_pipeline::{
+    run_pipeline, AdaptiveWatchdog, DoubleBuffer, FaultPlan, PipelineError, Role,
+};
 use std::time::{Duration, Instant};
 
 const B: usize = 32;
@@ -58,7 +60,7 @@ fn run_with_fault(p_d: usize, p_c: usize, fault: FaultPlan) -> PipelineError {
         &buffer,
         &PipelineConfig {
             iters: BLOCKS,
-            iter_timeout: Some(Duration::from_secs(1)),
+            adaptive_watchdog: Some(AdaptiveWatchdog::fixed(Duration::from_secs(1))),
             fault: Some(fault.clone()),
             ..PipelineConfig::default()
         },

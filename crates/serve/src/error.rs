@@ -29,12 +29,6 @@ pub enum RejectReason {
     BreakerOpen,
     /// The server is draining; no new work is admitted.
     ShuttingDown,
-    /// The request's per-request [`RetryPolicy`] override asks for a
-    /// bigger recovery budget than the server's configured ceiling —
-    /// admitting it would let one caller buy unbounded retry work.
-    ///
-    /// [`RetryPolicy`]: bwfft_core::RetryPolicy
-    RetryBudget { requested: usize, ceiling: usize },
 }
 
 impl RejectReason {
@@ -46,7 +40,6 @@ impl RejectReason {
             RejectReason::PoolExhausted(_) => "pool_exhausted",
             RejectReason::BreakerOpen => "breaker_open",
             RejectReason::ShuttingDown => "shutting_down",
-            RejectReason::RetryBudget { .. } => "retry_budget",
         }
     }
 }
@@ -63,11 +56,6 @@ impl core::fmt::Display for RejectReason {
             RejectReason::PoolExhausted(e) => write!(f, "buffer pool exhausted ({e})"),
             RejectReason::BreakerOpen => f.write_str("circuit breaker open"),
             RejectReason::ShuttingDown => f.write_str("server shutting down"),
-            RejectReason::RetryBudget { requested, ceiling } => write!(
-                f,
-                "requested retry budget ({requested} attempts/tier) exceeds \
-                 the server ceiling ({ceiling})"
-            ),
         }
     }
 }
@@ -133,10 +121,6 @@ mod tests {
             }),
             RejectReason::BreakerOpen,
             RejectReason::ShuttingDown,
-            RejectReason::RetryBudget {
-                requested: 9,
-                ceiling: 4,
-            },
         ];
         let tokens: Vec<_> = reasons.iter().map(RejectReason::token).collect();
         assert_eq!(
@@ -146,8 +130,7 @@ mod tests {
                 "byte_budget",
                 "pool_exhausted",
                 "breaker_open",
-                "shutting_down",
-                "retry_budget"
+                "shutting_down"
             ]
         );
         for r in &reasons {

@@ -7,10 +7,10 @@
 //! contract guarantees every admitted ticket resolves to **exactly
 //! one** [`RequestOutcome`].
 
-use bwfft_core::{CoreError, Dims, RecoveryTier, RetryPolicy};
+use bwfft_core::{CoreError, Dims, RecoveryTier};
 use bwfft_kernels::Direction;
 use bwfft_num::Complex64;
-use bwfft_pipeline::{FaultPlan, IntegrityConfig};
+use bwfft_pipeline::FaultPlan;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
@@ -35,18 +35,6 @@ pub struct FftRequest {
     pub deadline: Option<Duration>,
     /// Deterministic fault injection for chaos runs.
     pub fault: Option<FaultPlan>,
-    /// Per-request recovery budget, replacing the server's
-    /// [`ServeConfig::retry`](crate::ServeConfig) default. Admission
-    /// rejects (`retry_budget`) policies whose `max_attempts` exceeds
-    /// the server's configured ceiling: one caller must not be able to
-    /// buy unbounded retry work.
-    pub retry: Option<RetryPolicy>,
-    /// Per-request integrity guard set, replacing the server default —
-    /// a caller with an untrusted payload can arm the full guard set
-    /// for just that request.
-    pub integrity: Option<IntegrityConfig>,
-    /// Per-request whole-run Parseval/energy check override.
-    pub verify_energy: Option<bool>,
 }
 
 impl FftRequest {
@@ -59,9 +47,6 @@ impl FftRequest {
             input,
             deadline: None,
             fault: None,
-            retry: None,
-            integrity: None,
-            verify_energy: None,
         }
     }
 
@@ -87,21 +72,6 @@ impl FftRequest {
 
     pub fn fault(mut self, plan: FaultPlan) -> Self {
         self.fault = Some(plan);
-        self
-    }
-
-    pub fn retry(mut self, policy: RetryPolicy) -> Self {
-        self.retry = Some(policy);
-        self
-    }
-
-    pub fn integrity(mut self, cfg: IntegrityConfig) -> Self {
-        self.integrity = Some(cfg);
-        self
-    }
-
-    pub fn verify_energy(mut self, on: bool) -> Self {
-        self.verify_energy = Some(on);
         self
     }
 

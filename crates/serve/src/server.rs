@@ -61,14 +61,9 @@ pub struct ServeConfig {
     pub default_deadline: Option<Duration>,
     /// Degradation governor thresholds.
     pub breaker: BreakerConfig,
-    /// Per-request recovery budget (retries, backoff, escalation).
+    /// Recovery budget (retries, backoff, escalation, watchdog) of the
+    /// one [`Supervisor`] every request runs under.
     pub retry: RetryPolicy,
-    /// Ceiling on the `max_attempts` a per-request [`RetryPolicy`]
-    /// override may request. `None` admits any override; with a
-    /// ceiling set, over-budget requests are shed typed
-    /// (`retry_budget`) at admission — one caller cannot buy unbounded
-    /// retry work on a shared service.
-    pub retry_ceiling: Option<usize>,
     /// Pipeline integrity guards armed for every request.
     pub integrity: IntegrityConfig,
     /// Arm the whole-run Parseval/energy check on every request, so
@@ -101,7 +96,6 @@ impl Default for ServeConfig {
             default_deadline: None,
             breaker: BreakerConfig::default(),
             retry: RetryPolicy::default(),
-            retry_ceiling: None,
             integrity: IntegrityConfig::default(),
             verify_energy: false,
             trace: None,
@@ -120,7 +114,6 @@ pub struct RejectCounts {
     pub pool_exhausted: u64,
     pub breaker_open: u64,
     pub shutting_down: u64,
-    pub retry_budget: u64,
 }
 
 impl RejectCounts {
@@ -129,14 +122,13 @@ impl RejectCounts {
     }
 
     /// `(RejectReason::token(), count)` for every reason, in field order.
-    pub fn by_reason(&self) -> [(&'static str, u64); 6] {
+    pub fn by_reason(&self) -> [(&'static str, u64); 5] {
         [
             ("queue_full", self.queue_full),
             ("byte_budget", self.byte_budget),
             ("pool_exhausted", self.pool_exhausted),
             ("breaker_open", self.breaker_open),
             ("shutting_down", self.shutting_down),
-            ("retry_budget", self.retry_budget),
         ]
     }
 }
@@ -203,11 +195,6 @@ struct QueuedRequest {
     token: CancelToken,
     tier: RecoveryTier,
     fault: Option<FaultPlan>,
-    /// Per-request policy overrides (admission already enforced the
-    /// retry ceiling); `None` fields fall back to the server defaults.
-    retry: Option<RetryPolicy>,
-    integrity: Option<IntegrityConfig>,
-    verify_energy: Option<bool>,
     submitted_at: Instant,
     bytes: usize,
     cell: Arc<OutcomeCell>,
@@ -236,7 +223,7 @@ struct Instruments {
     tier_completed: [Counter; 3],
     /// `serve.rejected.<token>`, indexed by [`reject_index`];
     /// `rejected` counts the same events in total.
-    rejected_by: [Counter; 6],
+    rejected_by: [Counter; 5],
     queue_depth: Gauge,
     in_flight_bytes: Gauge,
     /// Breaker position as its ladder index: 0 normal … 3 open.
@@ -302,7 +289,6 @@ struct Shared {
     flight: Option<Arc<FlightRecorder>>,
     next_request_id: AtomicU64,
     byte_budget: Option<usize>,
-    retry_ceiling: Option<usize>,
     queue_capacity: usize,
     default_deadline: Option<Duration>,
 }
@@ -323,7 +309,6 @@ fn reject_index(reason: &RejectReason) -> usize {
         RejectReason::PoolExhausted(_) => 2,
         RejectReason::BreakerOpen => 3,
         RejectReason::ShuttingDown => 4,
-        RejectReason::RetryBudget { .. } => 5,
     }
 }
 
@@ -366,7 +351,6 @@ impl FftServer {
             flight: cfg.flight,
             next_request_id: AtomicU64::new(0),
             byte_budget: cfg.byte_budget,
-            retry_ceiling: cfg.retry_ceiling,
             queue_capacity: cfg.queue_capacity,
             default_deadline: cfg.default_deadline,
         });
@@ -403,19 +387,6 @@ impl FftServer {
             .inst
             .plan_resolve_ns
             .record_duration(plan_t0.elapsed());
-
-        // Retry-budget ceiling: a per-request policy override must not
-        // buy more recovery work than the server is willing to sell.
-        // Checked before any state is held — the verdict depends only
-        // on the request and the configuration.
-        if let (Some(ceiling), Some(policy)) = (shared.retry_ceiling, req.retry.as_ref()) {
-            if policy.max_attempts > ceiling {
-                return Err(self.reject(RejectReason::RetryBudget {
-                    requested: policy.max_attempts,
-                    ceiling,
-                }));
-            }
-        }
 
         let bytes = req.working_bytes();
         let mut q = lock_tolerant(&shared.queue);
@@ -473,9 +444,6 @@ impl FftServer {
             token,
             tier,
             fault: req.fault,
-            retry: req.retry,
-            integrity: req.integrity,
-            verify_energy: req.verify_energy,
             submitted_at,
             bytes,
             cell,
@@ -539,7 +507,7 @@ impl FftServer {
             inst.queue_depth.set(q.queue.len() as f64);
             inst.in_flight_bytes.set(q.in_flight_bytes as f64);
         }
-        let [queue_full, byte_budget, pool_exhausted, breaker_open, shutting_down, retry_budget] =
+        let [queue_full, byte_budget, pool_exhausted, breaker_open, shutting_down] =
             inst.rejected_by.each_ref().map(Counter::get);
         ServeReport {
             submitted: inst.submitted.get(),
@@ -553,7 +521,6 @@ impl FftServer {
                 pool_exhausted,
                 breaker_open,
                 shutting_down,
-                retry_budget,
             },
             tier_completed: inst.tier_completed.each_ref().map(Counter::get),
             breaker_level,
@@ -694,18 +661,10 @@ fn execute_request(shared: &Arc<Shared>, req: QueuedRequest) {
         token,
         tier,
         fault,
-        retry,
-        integrity,
-        verify_energy,
         submitted_at,
         bytes,
         cell,
     } = req;
-    let overrides = ExecOverrides {
-        retry,
-        integrity,
-        verify_energy,
-    };
 
     let inst = &shared.inst;
     inst.queue_wait_ns.record_duration(submitted_at.elapsed());
@@ -720,9 +679,7 @@ fn execute_request(shared: &Arc<Shared>, req: QueuedRequest) {
     let exec_t0 = Instant::now();
 
     let trace = flight_trace.clone().or_else(|| shared.trace.clone());
-    let verdict = run_at_tier(
-        shared, &plan, &mut data, &mut work, &token, tier, &fault, &overrides, trace,
-    );
+    let verdict = run_at_tier(shared, &plan, &mut data, &mut work, &token, tier, &fault, trace);
     let latency = submitted_at.elapsed();
 
     // Classify flight-dump triggers before the verdict is consumed:
@@ -828,13 +785,6 @@ fn execute_request(shared: &Arc<Shared>, req: QueuedRequest) {
     cell.deliver(outcome);
 }
 
-/// Per-request execution policy overrides, already past admission.
-struct ExecOverrides {
-    retry: Option<RetryPolicy>,
-    integrity: Option<IntegrityConfig>,
-    verify_energy: Option<bool>,
-}
-
 #[allow(clippy::too_many_arguments)]
 fn run_at_tier(
     shared: &Shared,
@@ -844,7 +794,6 @@ fn run_at_tier(
     token: &CancelToken,
     tier: RecoveryTier,
     fault: &Option<FaultPlan>,
-    overrides: &ExecOverrides,
     trace: Option<Arc<TraceCollector>>,
 ) -> Result<(RecoveryTier, bool), CoreError> {
     if let Some(reason) = token.fired() {
@@ -864,8 +813,8 @@ fn run_at_tier(
                 fault: fault.clone(),
                 trace,
                 metrics: Some(Arc::clone(&shared.metrics)),
-                integrity: overrides.integrity.unwrap_or(shared.integrity),
-                verify_energy: overrides.verify_energy.unwrap_or(shared.verify_energy),
+                integrity: shared.integrity,
+                verify_energy: shared.verify_energy,
                 cancel: Some(token.clone()),
                 ..ExecConfig::default()
             };
@@ -873,19 +822,9 @@ fn run_at_tier(
             if start == RecoveryTier::Fused {
                 plan.executor = ExecutorKind::Fused;
             }
-            // A per-request retry policy gets its own supervisor —
-            // construction is a couple of field copies, nothing shared.
-            let rep = match overrides.retry.clone() {
-                Some(policy) => Supervisor::new(policy).run(
-                    &plan,
-                    data.as_mut_slice(),
-                    work.as_mut_slice(),
-                    &cfg,
-                )?,
-                None => shared
-                    .supervisor
-                    .run(&plan, data.as_mut_slice(), work.as_mut_slice(), &cfg)?,
-            };
+            let rep = shared
+                .supervisor
+                .run(&plan, data.as_mut_slice(), work.as_mut_slice(), &cfg)?;
             Ok((rep.tier, rep.recovered()))
         }
     }
@@ -993,61 +932,12 @@ mod tests {
     }
 
     #[test]
-    fn over_ceiling_retry_budgets_are_shed_typed() {
-        let mut server = FftServer::start(ServeConfig {
-            workers: 0,
-            retry_ceiling: Some(3),
-            ..ServeConfig::default()
-        });
-        // Over the ceiling: shed at the door, nothing queued.
-        let greedy = RetryPolicy {
-            max_attempts: 8,
-            ..RetryPolicy::default()
-        };
-        let err = server.submit(request(1).retry(greedy)).unwrap_err();
-        match err {
-            ServeError::Rejected {
-                reason: reason @ RejectReason::RetryBudget { requested: 8, ceiling: 3 },
-            } => assert_eq!(reason.token(), "retry_budget"),
-            other => panic!("wrong rejection: {other}"),
-        }
-        assert_eq!(server.queue_depth(), 0);
-        // At the ceiling: admitted and completed with its own budget.
-        let frugal = RetryPolicy {
-            max_attempts: 3,
-            ..RetryPolicy::default()
-        };
-        let t = server.submit(request(2).retry(frugal)).unwrap();
-        let report = server.shutdown();
-        assert!(matches!(t.wait(), RequestOutcome::Completed { .. }));
-        assert!(report.holds(), "{report:?}");
-        assert_eq!(report.rejected.retry_budget, 1);
-        assert_eq!(report.completed, 1);
-    }
-
-    #[test]
-    fn without_a_ceiling_any_retry_override_is_admitted() {
-        let mut server = FftServer::start(ServeConfig {
-            workers: 0,
-            ..ServeConfig::default()
-        });
-        let greedy = RetryPolicy {
-            max_attempts: 64,
-            ..RetryPolicy::default()
-        };
-        let t = server.submit(request(1).retry(greedy)).unwrap();
-        let report = server.shutdown();
-        assert!(matches!(t.wait(), RequestOutcome::Completed { .. }));
-        assert!(report.holds(), "{report:?}");
-        assert_eq!(report.rejected.total(), 0);
-    }
-
-    #[test]
-    fn per_request_integrity_override_recovers_injected_corruption() {
+    fn server_integrity_guards_recover_injected_corruption() {
         bwfft_pipeline::fault::silence_injected_panic_reports();
-        // Server default: guards OFF. The request arms the full set
-        // itself — corruption must be detected on its run and recovered
-        // (pipelined detects, fused has no handoffs to corrupt).
+        // The server arms the full guard set for every request —
+        // corruption must be detected on the request's run and
+        // recovered (pipelined detects, fused has no handoffs to
+        // corrupt).
         let mut server = FftServer::start(ServeConfig {
             workers: 1,
             retry: RetryPolicy {
@@ -1055,13 +945,13 @@ mod tests {
                 backoff_cap: Duration::from_millis(2),
                 ..RetryPolicy::default()
             },
+            integrity: IntegrityConfig::full(),
+            verify_energy: true,
             ..ServeConfig::default()
         });
         let seed = 77;
         let req = request(seed)
             .threads(2, 2)
-            .integrity(IntegrityConfig::full())
-            .verify_energy(true)
             .fault(FaultPlan::corrupt_at(
                 bwfft_pipeline::Role::Data,
                 0,
@@ -1337,35 +1227,39 @@ mod tests {
     #[test]
     fn metrics_registry_reflects_the_request_lifecycle() {
         let reg = Arc::new(Registry::new());
+        // No workers and a three-deep queue: the first three requests
+        // wait in the queue and the fourth is shed.
         let mut server = FftServer::start(ServeConfig {
-            workers: 1,
-            retry_ceiling: Some(1),
+            workers: 0,
+            queue_capacity: 3,
             metrics: Some(Arc::clone(&reg)),
             ..ServeConfig::default()
         });
         // Registered at start: the first scrape already lists them.
         let first = reg.snapshot().counters;
         assert_eq!(first.get("tuner.plan_cache.misses"), Some(&0));
-        assert_eq!(first.get("serve.rejected.retry_budget"), Some(&0));
-        for seed in 0..3 {
-            let t = server.submit(request(seed)).unwrap();
-            assert!(matches!(t.wait(), RequestOutcome::Completed { .. }));
-        }
-        let greedy = RetryPolicy {
-            max_attempts: 2,
-            ..RetryPolicy::default()
-        };
-        assert!(server.submit(request(3).retry(greedy)).is_err());
-        // No stats() call: outcome, rejection and plan-cache counters
+        assert_eq!(first.get("serve.rejected.queue_full"), Some(&0));
+        let tickets: Vec<Ticket> = (0..3)
+            .map(|seed| server.submit(request(seed)).unwrap())
+            .collect();
+        assert!(server.submit(request(3)).is_err());
+        // No stats() call: admission, rejection and plan-cache counters
         // are live (the rejected request resolved its plan too).
         let c = reg.snapshot().counters;
-        assert_eq!((c["serve.submitted"], c["serve.completed"]), (3, 3));
-        assert_eq!((c["serve.rejected"], c["serve.rejected.retry_budget"]), (1, 1));
+        assert_eq!((c["serve.submitted"], c["serve.completed"]), (3, 0));
+        assert_eq!(
+            (c["serve.rejected"], c["serve.rejected.queue_full"]),
+            (1, 1)
+        );
         assert_eq!(c["tuner.plan_cache.misses"], 1, "{c:?}");
         assert_eq!(c["tuner.plan_cache.hits"], 3, "{c:?}");
-        // stats() re-syncs the buffer-pool totals and the gauges.
-        let live = server.stats();
-        assert!(live.holds(), "{live:?}");
+        // The drain runs the queue inline; its report (a stats() read)
+        // re-syncs the buffer-pool totals and the gauges.
+        let report = server.shutdown();
+        assert!(report.holds(), "{report:?}");
+        for t in tickets {
+            assert!(matches!(t.wait(), RequestOutcome::Completed { .. }));
+        }
         let snap = reg.snapshot();
         for h in [
             "serve.request_ns",
@@ -1378,12 +1272,11 @@ mod tests {
             assert_eq!(hist.count, resolved, "{h}: {hist:?}");
             assert!(hist.quantile(0.99) >= Some(hist.min), "{h}");
         }
-        // All three succeeded on the normal tier with pooled reuse.
+        // All three succeeded on the normal tier; each held its own
+        // pooled working set while queued, so none was reused.
         assert_eq!(snap.gauges.get("serve.breaker_level"), Some(&0.0));
-        assert!(snap.gauges.get("serve.pool_hit_rate").copied().unwrap_or(0.0) > 0.0);
+        assert_eq!(snap.gauges.get("serve.pool_hit_rate"), Some(&0.0));
         assert_eq!(snap.gauges.get("serve.queue_depth"), Some(&0.0));
-        let report = server.shutdown();
-        assert!(report.holds(), "{report:?}");
         assert_report_matches_registry(&report, &reg);
     }
 

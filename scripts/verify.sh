@@ -321,8 +321,10 @@ assert c["serve.submitted"] == 12 and c["serve.completed"] == 12, c
 # the server counts outcomes and rejections.
 outcomes = c["serve.completed"] + c["serve.deadline_exceeded"] + c["serve.failed"]
 assert c["serve.submitted"] == outcomes, c
-by_reason = [v for k, v in c.items() if k.startswith("serve.rejected.")]
-assert len(by_reason) == 6 and sum(by_reason) == c["serve.rejected"], c
+by_reason = {k: v for k, v in c.items() if k.startswith("serve.rejected.")}
+reasons = {"queue_full", "byte_budget", "pool_exhausted", "breaker_open", "shutting_down"}
+assert set(by_reason) == {"serve.rejected." + r for r in reasons}, sorted(by_reason)
+assert sum(by_reason.values()) == c["serve.rejected"], c
 h = snap["histograms"]["serve.request_ns"]
 assert h["count"] == 12 and h["min"] <= h["max"], h
 assert sum(n for _, n in h["buckets"]) == h["count"], h

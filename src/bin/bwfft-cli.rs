@@ -154,7 +154,7 @@ use bwfft::bench::stats::StatsConfig;
 use bwfft::bench::suite::SuiteKind;
 use bwfft::bench::{run_suite, run_suite_paired};
 use bwfft::core::exec_sim::{simulate, SimOptions};
-use bwfft::core::{exec_real, Dims, FftPlan, RetryPolicy, Supervisor};
+use bwfft::core::{exec_real, execute_reference, Dims, FftPlan, RetryPolicy, Supervisor};
 use bwfft::kernels::Direction;
 use bwfft::machine::stream::stream_triad;
 use bwfft::machine::{presets, MachineSpec};
@@ -390,29 +390,7 @@ fn cmd_run(opts: &HashMap<String, String>) -> Result<(), CliError> {
     let plan = builder
         .build()
         .map_err(|e| CliError::from(BwfftError::from(e)))?;
-    let mut exec_cfg = bwfft::core::ExecConfig::default();
-    if let Some(spec) = opts.get("inject-panic") {
-        exec_cfg.fault = Some(parse_fault(spec).map_err(usage)?);
-        bwfft::pipeline::fault::silence_injected_panic_reports();
-    }
-    if opts.contains_key("integrity") {
-        // Arm every guard: buffer canaries and per-block checksums in
-        // the pipeline, plus the whole-run Parseval check.
-        exec_cfg.integrity = IntegrityConfig::full();
-        exec_cfg.verify_energy = true;
-    }
-    if let Some(ms) = opts.get("timeout-ms") {
-        let ms: u64 = ms.parse().map_err(|_| usage("bad --timeout-ms"))?;
-        exec_cfg.iter_timeout = Some(std::time::Duration::from_millis(ms));
-    } else {
-        // No explicit budget: arm the adaptive watchdog, which sizes
-        // stall budgets from measured step times instead of a guess.
-        // The raised floor tolerates scheduler hiccups on busy hosts.
-        exec_cfg.adaptive_watchdog = Some(AdaptiveWatchdog {
-            min: std::time::Duration::from_millis(250),
-            ..AdaptiveWatchdog::default()
-        });
-    }
+    let mut exec_cfg = exec_cfg_from_opts(opts)?;
     let profile = profile_mode(opts)?;
     let collector = profile.map(|_| Arc::new(TraceCollector::new()));
     if let Some(c) = &collector {
@@ -1025,28 +1003,33 @@ fn cmd_ooc(opts: &HashMap<String, String>) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Fault-tolerance knobs shared by `r2c` and `conv` (same flags as
-/// `run`): `--inject-panic`, `--integrity`, `--timeout-ms` / adaptive
-/// watchdog.
-fn real_exec_cfg(opts: &HashMap<String, String>) -> Result<bwfft::core::ExecConfig, CliError> {
+/// Fault-tolerance knobs shared by `run`, `r2c` and `conv`:
+/// `--inject-panic`, `--integrity`, and the watchdog.
+fn exec_cfg_from_opts(opts: &HashMap<String, String>) -> Result<bwfft::core::ExecConfig, CliError> {
     let mut exec_cfg = bwfft::core::ExecConfig::default();
     if let Some(spec) = opts.get("inject-panic") {
         exec_cfg.fault = Some(parse_fault(spec).map_err(usage)?);
         bwfft::pipeline::fault::silence_injected_panic_reports();
     }
     if opts.contains_key("integrity") {
+        // Arm every guard: buffer canaries and per-block checksums in
+        // the pipeline, plus the whole-run Parseval check.
         exec_cfg.integrity = IntegrityConfig::full();
         exec_cfg.verify_energy = true;
     }
-    if let Some(ms) = opts.get("timeout-ms") {
-        let ms: u64 = ms.parse().map_err(|_| usage("bad --timeout-ms"))?;
-        exec_cfg.iter_timeout = Some(std::time::Duration::from_millis(ms));
-    } else {
-        exec_cfg.adaptive_watchdog = Some(AdaptiveWatchdog {
+    exec_cfg.adaptive_watchdog = Some(match opts.get("timeout-ms") {
+        Some(ms) => {
+            let ms: u64 = ms.parse().map_err(|_| usage("bad --timeout-ms"))?;
+            AdaptiveWatchdog::fixed(std::time::Duration::from_millis(ms))
+        }
+        // No explicit budget: size stall budgets from measured step
+        // times instead of a guess. The raised floor tolerates
+        // scheduler hiccups on busy hosts.
+        None => AdaptiveWatchdog {
             min: std::time::Duration::from_millis(250),
             ..AdaptiveWatchdog::default()
-        });
-    }
+        },
+    });
     Ok(exec_cfg)
 }
 
@@ -1099,7 +1082,7 @@ fn print_recovery(rep: &bwfft::core::SupervisedReport, leg: &str) {
 /// the complex path for the same logical transform.
 fn cmd_r2c(opts: &HashMap<String, String>) -> Result<(), CliError> {
     let plan = real_plan_from_opts(opts)?;
-    let exec_cfg = real_exec_cfg(opts)?;
+    let exec_cfg = exec_cfg_from_opts(opts)?;
     let seed: u64 = opts
         .get("seed")
         .map(|s| s.parse().map_err(|_| usage("bad --seed")))
@@ -1126,10 +1109,14 @@ fn cmd_r2c(opts: &HashMap<String, String>) -> Result<(), CliError> {
     let t0 = std::time::Instant::now();
     if opts.contains_key("recover") {
         let sup = Supervisor::new(RetryPolicy::default());
-        let rep = sup_err(plan.r2c_supervised(&sup, &x, &mut work, &mut spec, &exec_cfg))?;
+        let rep = sup_err(plan.r2c(&x, &mut spec, exec_cfg.verify_energy, |p, z| {
+            sup.run(p, z, &mut work, &exec_cfg)
+        }))?;
         print_recovery(&rep, "r2c");
     } else {
-        sup_err(plan.r2c_with(&x, &mut work, &mut spec, &exec_cfg))?;
+        sup_err(plan.r2c(&x, &mut spec, exec_cfg.verify_energy, |p, z| {
+            exec_real::execute_with(p, z, &mut work, &exec_cfg)
+        }))?;
     }
     let dt = t0.elapsed();
     println!("forward r2c done in {dt:.2?}");
@@ -1145,7 +1132,9 @@ fn cmd_r2c(opts: &HashMap<String, String>) -> Result<(), CliError> {
 
     // Round trip: c2r(r2c(x)) must be N·x.
     let mut back = vec![0.0; n];
-    sup_err(plan.c2r(&spec, &mut work, &mut back))?;
+    sup_err(plan.c2r(&spec, &mut back, false, |p, z| {
+        exec_real::execute(p, z, &mut work)
+    }))?;
     bwfft::real::normalize(&mut back);
     let roundtrip_err = back
         .iter()
@@ -1159,7 +1148,7 @@ fn cmd_r2c(opts: &HashMap<String, String>) -> Result<(), CliError> {
 
     if opts.contains_key("verify") {
         let mut want = vec![Complex64::ZERO; plan.spectrum_elems()];
-        sup_err(plan.r2c_reference(&x, &mut want))?;
+        sup_err(plan.r2c(&x, &mut want, false, execute_reference))?;
         let scale = want.iter().map(|v| v.abs()).fold(1.0, f64::max);
         let max_err = spec
             .iter()
@@ -1184,7 +1173,7 @@ fn cmd_r2c(opts: &HashMap<String, String>) -> Result<(), CliError> {
 /// ≤ 4096 elements also the direct O(n²) oracle).
 fn cmd_conv(opts: &HashMap<String, String>) -> Result<(), CliError> {
     let plan = real_plan_from_opts(opts)?;
-    let exec_cfg = real_exec_cfg(opts)?;
+    let exec_cfg = exec_cfg_from_opts(opts)?;
     let seed: u64 = opts
         .get("seed")
         .map(|s| s.parse().map_err(|_| usage("bad --seed")))
@@ -1219,18 +1208,14 @@ fn cmd_conv(opts: &HashMap<String, String>) -> Result<(), CliError> {
     let t0 = std::time::Instant::now();
     if opts.contains_key("recover") {
         let sup = Supervisor::new(RetryPolicy::default());
-        let rep = sup_err(conv.convolve_supervised(&sup, &mut got, &mut work, &exec_cfg))?;
-        print_recovery(&rep.forward, "forward leg");
-        print_recovery(&rep.inverse, "inverse leg");
-        if rep.recovered() {
-            println!(
-                "recovered at the {} tier after {} attempt(s)",
-                rep.worst_tier(),
-                rep.attempts()
-            );
-        }
+        let (forward, inverse) =
+            sup_err(conv.convolve(&mut got, |p, z| sup.run(p, z, &mut work, &exec_cfg)))?;
+        print_recovery(&forward, "forward leg");
+        print_recovery(&inverse, "inverse leg");
     } else {
-        sup_err(conv.convolve_with(&mut got, &mut work, &exec_cfg))?;
+        sup_err(conv.convolve(&mut got, |p, z| {
+            exec_real::execute_with(p, z, &mut work, &exec_cfg)
+        }))?;
     }
     let dt = t0.elapsed();
     println!("fused convolution done in {dt:.2?}");
@@ -1253,13 +1238,13 @@ fn cmd_conv(opts: &HashMap<String, String>) -> Result<(), CliError> {
         let plan = conv.plan();
         let mut xs = vec![Complex64::ZERO; plan.spectrum_elems()];
         let mut gs = vec![Complex64::ZERO; plan.spectrum_elems()];
-        sup_err(plan.r2c_reference(&x, &mut xs))?;
-        sup_err(plan.r2c_reference(&kernel, &mut gs))?;
+        sup_err(plan.r2c(&x, &mut xs, false, execute_reference))?;
+        sup_err(plan.r2c(&kernel, &mut gs, false, execute_reference))?;
         for (a, b) in xs.iter_mut().zip(&gs) {
             *a *= *b;
         }
         let mut want = vec![0.0; n];
-        sup_err(plan.c2r_reference(&xs, &mut want))?;
+        sup_err(plan.c2r(&xs, &mut want, false, execute_reference))?;
         bwfft::real::normalize(&mut want);
         let scale = want.iter().map(|v| v.abs()).fold(1.0, f64::max);
         let rel_err = got

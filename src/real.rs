@@ -7,17 +7,15 @@
 //! round-trip full complex data.
 
 pub use bwfft_core::real::{
-    mirror_row, normalize, ConvReport, RealFftPlan, RealFftPlanBuilder, SpectralConvPlan,
+    mirror_row, normalize, RealFftPlan, RealFftPlanBuilder, SpectralConvPlan,
 };
 pub use bwfft_kernels::layout::{
     fold_real, packed_spectrum_len, unfold_real, unpack_half_spectrum,
 };
-pub use bwfft_kernels::realfft::{
-    conv_direct, packed_spectrum_energy, RealFft1d, RealFftMany, RealLayoutError,
-    RealManyDescriptor, SpectralConv1d,
-};
+pub use bwfft_kernels::realfft::{conv_direct, packed_spectrum_energy, RealFft1d, SpectralConv1d};
 
 use crate::error::BwfftError;
+use bwfft_core::exec_real::execute;
 use bwfft_core::Dims;
 use bwfft_num::{try_vec_zeroed, Complex64};
 
@@ -78,7 +76,7 @@ pub fn solve_poisson_3d(
 
     let mut work: Vec<Complex64> = try_vec_zeroed(plan.packed_elems(), "poisson work")?;
     let mut spec: Vec<Complex64> = try_vec_zeroed(plan.spectrum_elems(), "poisson spectrum")?;
-    plan.r2c(&f, &mut work, &mut spec)?;
+    plan.r2c(&f, &mut spec, false, |p, z| execute(p, z, &mut work))?;
 
     // û[k] = f̂[k] / ((2π)²·|k|²), DC pinned to zero (mean-free
     // gauge). Leading dims carry signed frequencies; the packed
@@ -108,7 +106,7 @@ pub fn solve_poisson_3d(
     }
 
     let mut u: Vec<f64> = try_vec_zeroed(total, "poisson solution")?;
-    plan.c2r(&spec, &mut work, &mut u)?;
+    plan.c2r(&spec, &mut u, false, |p, z| execute(p, z, &mut work))?;
     normalize(&mut u);
 
     let max_err = u
@@ -119,7 +117,7 @@ pub fn solve_poisson_3d(
 
     // Residual check: apply the spectral Laplacian to the *computed*
     // u and compare against f.
-    plan.r2c(&u, &mut work, &mut spec)?;
+    plan.r2c(&u, &mut spec, false, |p, z| execute(p, z, &mut work))?;
     for a in 0..n {
         let fa = signed(a);
         for b in 0..n {
@@ -132,7 +130,7 @@ pub fn solve_poisson_3d(
         }
     }
     let mut lap_u: Vec<f64> = try_vec_zeroed(total, "poisson residual")?;
-    plan.c2r(&spec, &mut work, &mut lap_u)?;
+    plan.c2r(&spec, &mut lap_u, false, |p, z| execute(p, z, &mut work))?;
     normalize(&mut lap_u);
     let max_residual = lap_u
         .iter()

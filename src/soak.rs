@@ -27,7 +27,7 @@ use bwfft_num::compare::{fft_tolerance, rel_l2_error};
 use bwfft_num::signal::random_complex;
 use bwfft_num::Complex64;
 use bwfft_pipeline::fault::silence_injected_panic_reports;
-use bwfft_pipeline::{FaultPhase, FaultPlan, IntegrityConfig, Role};
+use bwfft_pipeline::{AdaptiveWatchdog, FaultPhase, FaultPlan, IntegrityConfig, Role};
 use std::time::Duration;
 
 /// xorshift64* — tiny, dependency-free, and good enough to scatter
@@ -97,6 +97,15 @@ impl Default for SoakConfig {
             policy: RetryPolicy {
                 backoff_base: Duration::from_micros(100),
                 backoff_cap: Duration::from_millis(2),
+                // No injected fault should time out: the stalls are
+                // 10 ms, so a 1 s floor keeps "never a hang" armed
+                // without letting a descheduled barrier wait on a
+                // loaded host turn a clean run into a recovered one
+                // (which would make equal seeds give unequal reports).
+                watchdog: Some(AdaptiveWatchdog {
+                    min: Duration::from_secs(1),
+                    ..AdaptiveWatchdog::default()
+                }),
                 ..RetryPolicy::default()
             },
         }

@@ -22,7 +22,8 @@
 //! reshapes, double buffer, threaded executor) against `dft2_naive` /
 //! `dft3_naive`, under the same power-of-two bound.
 
-use bwfft::core::{exec_real, Dims, FftPlan};
+use bwfft::core::exec_real::{self, ExecConfig};
+use bwfft::core::{execute_reference, Dims, FftPlan, Supervisor};
 use bwfft::kernels::batch::BatchFft;
 use bwfft::kernels::bluestein::{AnyFft, Bluestein};
 use bwfft::kernels::reference::{dft2_naive, dft3_naive, dft_naive};
@@ -367,6 +368,61 @@ fn c2r_inverts_r2c_golden_grid() {
     }
 }
 
+/// r2c through every complex runner the real entry takes — the
+/// pipelined executor, the fused one and the supervised ladder. They
+/// share the kernel, so the packed spectra must agree bitwise; returns
+/// the pipelined one.
+#[allow(clippy::unwrap_used)] // test helper; only #[test] fns get the blanket allowance
+fn r2c_every_runner(plan: &RealFftPlan, x: &[f64]) -> Vec<Complex64> {
+    let cfg = ExecConfig::default();
+    let sup = Supervisor::default();
+    let mut work = vec![Complex64::ZERO; plan.packed_elems()];
+    let mut pipelined = vec![Complex64::ZERO; plan.spectrum_elems()];
+    let mut fused = pipelined.clone();
+    let mut supervised = pipelined.clone();
+    plan.r2c(x, &mut pipelined, false, |p, z| {
+        exec_real::execute_with(p, z, &mut work, &cfg)
+    })
+    .unwrap();
+    plan.r2c(x, &mut fused, false, |p, z| {
+        exec_real::execute_fused(p, z, &mut work)
+    })
+    .unwrap();
+    plan.r2c(x, &mut supervised, false, |p, z| {
+        sup.run(p, z, &mut work, &cfg)
+    })
+    .unwrap();
+    assert_eq!(pipelined, fused, "r2c pipelined vs fused");
+    assert_eq!(pipelined, supervised, "r2c pipelined vs supervised");
+    pipelined
+}
+
+/// c2r counterpart of [`r2c_every_runner`].
+#[allow(clippy::unwrap_used)] // test helper; only #[test] fns get the blanket allowance
+fn c2r_every_runner(plan: &RealFftPlan, spec: &[Complex64]) -> Vec<f64> {
+    let cfg = ExecConfig::default();
+    let sup = Supervisor::default();
+    let mut work = vec![Complex64::ZERO; plan.packed_elems()];
+    let mut pipelined = vec![0.0; plan.real_elems()];
+    let mut fused = pipelined.clone();
+    let mut supervised = pipelined.clone();
+    plan.c2r(spec, &mut pipelined, false, |p, z| {
+        exec_real::execute_with(p, z, &mut work, &cfg)
+    })
+    .unwrap();
+    plan.c2r(spec, &mut fused, false, |p, z| {
+        exec_real::execute_fused(p, z, &mut work)
+    })
+    .unwrap();
+    plan.c2r(spec, &mut supervised, false, |p, z| {
+        sup.run(p, z, &mut work, &cfg)
+    })
+    .unwrap();
+    assert_eq!(pipelined, fused, "c2r pipelined vs fused");
+    assert_eq!(pipelined, supervised, "c2r pipelined vs supervised");
+    pipelined
+}
+
 /// The multidimensional packed layout: row `s`, packed column `kf`
 /// holds the full complex FFT's bin `(s, kf)` for `kf ∈ 0..=m/2`.
 #[test]
@@ -383,9 +439,7 @@ fn r2c_plan_matches_complex_fft_2d_both_tiers() {
         for s in 0..n {
             reference[s * hp..(s + 1) * hp].copy_from_slice(&full[s * m..s * m + hp]);
         }
-        let mut work = vec![Complex64::ZERO; plan.packed_elems()];
-        let mut pipelined = vec![Complex64::ZERO; plan.spectrum_elems()];
-        plan.r2c(&x, &mut work, &mut pipelined).unwrap();
+        let pipelined = r2c_every_runner(&plan, &x);
         assert_ulp_close(
             &pipelined,
             &reference,
@@ -393,7 +447,7 @@ fn r2c_plan_matches_complex_fft_2d_both_tiers() {
             &format!("2D r2c pipelined on {input_name}"),
         );
         let mut refout = vec![Complex64::ZERO; plan.spectrum_elems()];
-        plan.r2c_reference(&x, &mut refout).unwrap();
+        plan.r2c(&x, &mut refout, false, execute_reference).unwrap();
         assert_ulp_close(
             &refout,
             &reference,
@@ -405,15 +459,15 @@ fn r2c_plan_matches_complex_fft_2d_both_tiers() {
             .iter()
             .map(|&v| Complex64::new(v * (n * m) as f64, 0.0))
             .collect();
-        let mut back = vec![0.0; n * m];
-        plan.c2r(&pipelined, &mut work, &mut back).unwrap();
+        let mut back = c2r_every_runner(&plan, &pipelined);
         assert_ulp_close(
             &complexify(&back),
             &expect,
             POW2_ULP_BOUND,
             &format!("2D c2r pipelined on {input_name}"),
         );
-        plan.c2r_reference(&refout, &mut back).unwrap();
+        plan.c2r(&refout, &mut back, false, execute_reference)
+            .unwrap();
         assert_ulp_close(
             &complexify(&back),
             &expect,
@@ -438,9 +492,7 @@ fn r2c_plan_matches_complex_fft_3d_both_tiers() {
         for s in 0..rows {
             reference[s * hp..(s + 1) * hp].copy_from_slice(&full[s * m..s * m + hp]);
         }
-        let mut work = vec![Complex64::ZERO; plan.packed_elems()];
-        let mut got = vec![Complex64::ZERO; plan.spectrum_elems()];
-        plan.r2c(&x, &mut work, &mut got).unwrap();
+        let got = r2c_every_runner(&plan, &x);
         assert_ulp_close(
             &got,
             &reference,
@@ -448,12 +500,23 @@ fn r2c_plan_matches_complex_fft_3d_both_tiers() {
             &format!("3D r2c pipelined on {input_name}"),
         );
         let mut refout = vec![Complex64::ZERO; plan.spectrum_elems()];
-        plan.r2c_reference(&x, &mut refout).unwrap();
+        plan.r2c(&x, &mut refout, false, execute_reference).unwrap();
         assert_ulp_close(
             &refout,
             &reference,
             POW2_ULP_BOUND,
             &format!("3D r2c reference tier on {input_name}"),
+        );
+        let expect: Vec<Complex64> = x
+            .iter()
+            .map(|&v| Complex64::new(v * (k * n * m) as f64, 0.0))
+            .collect();
+        let back = c2r_every_runner(&plan, &got);
+        assert_ulp_close(
+            &complexify(&back),
+            &expect,
+            POW2_ULP_BOUND,
+            &format!("3D c2r pipelined on {input_name}"),
         );
     }
 }

@@ -6,11 +6,11 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use bwfft::core::exec_real::ExecConfig;
+use bwfft::core::exec_real::{execute, execute_fused, execute_with, ExecConfig};
 use bwfft::core::{Dims, RetryPolicy, Supervisor};
 use bwfft::num::signal::SplitMix64;
 use bwfft::num::Complex64;
-use bwfft::pipeline::{fault, FaultPlan, IntegrityConfig, Role};
+use bwfft::pipeline::{fault, AdaptiveWatchdog, FaultPlan, IntegrityConfig, Role};
 use bwfft::real::{conv_direct, RealFftPlan, SpectralConv1d, SpectralConvPlan};
 use std::time::Duration;
 
@@ -68,7 +68,8 @@ fn fused_conv_matches_direct_oracle_2d() {
     let conv = SpectralConvPlan::new(plan, &g).unwrap();
     let mut got = x.clone();
     let mut work = vec![Complex64::ZERO; conv.plan().packed_elems()];
-    conv.convolve(&mut got, &mut work).unwrap();
+    conv.convolve(&mut got, |p, z| execute(p, z, &mut work))
+        .unwrap();
     let scale = want.iter().map(|v| v.abs()).fold(1.0, f64::max);
     for (a, b) in got.iter().zip(&want) {
         assert!(
@@ -76,6 +77,35 @@ fn fused_conv_matches_direct_oracle_2d() {
             "fused 2D conv diverged from direct oracle"
         );
     }
+}
+
+#[test]
+fn convolve_is_bitwise_equal_across_runners() {
+    // One entry, every complex runner: the pipelined executor, the
+    // fused one and the supervised ladder share the kernel, so the
+    // convolution must not change by a bit.
+    let (n, m) = (8usize, 16);
+    let x = random_real(n * m, 9250);
+    let g = random_real(n * m, 9251);
+    let plan = RealFftPlan::builder(Dims::d2(n, m))
+        .threads(2, 2)
+        .build()
+        .unwrap();
+    let conv = SpectralConvPlan::new(plan, &g).unwrap();
+    let cfg = ExecConfig::default();
+    let mut work = vec![Complex64::ZERO; conv.plan().packed_elems()];
+    let mut pipelined = x.clone();
+    conv.convolve(&mut pipelined, |p, z| execute_with(p, z, &mut work, &cfg))
+        .unwrap();
+    let mut fused = x.clone();
+    conv.convolve(&mut fused, |p, z| execute_fused(p, z, &mut work))
+        .unwrap();
+    let mut supervised = x.clone();
+    let sup = Supervisor::default();
+    conv.convolve(&mut supervised, |p, z| sup.run(p, z, &mut work, &cfg))
+        .unwrap();
+    assert_eq!(pipelined, fused, "pipelined vs fused");
+    assert_eq!(pipelined, supervised, "pipelined vs supervised");
 }
 
 #[test]
@@ -120,23 +150,25 @@ fn supervised_conv_with_injected_fault_preserves_the_result() {
     let clean_conv = SpectralConvPlan::new(build(), &g).unwrap();
     let mut clean = x.clone();
     let mut work = vec![Complex64::ZERO; clean_conv.plan().packed_elems()];
-    clean_conv.convolve(&mut clean, &mut work).unwrap();
+    clean_conv
+        .convolve(&mut clean, |p, z| execute(p, z, &mut work))
+        .unwrap();
 
     let conv = SpectralConvPlan::new(build(), &g).unwrap();
     let cfg = ExecConfig {
         fault: Some(FaultPlan::panic_at(Role::Compute, 0, 1)),
         integrity: IntegrityConfig::full(),
         verify_energy: true,
-        iter_timeout: Some(Duration::from_secs(5)),
+        adaptive_watchdog: Some(AdaptiveWatchdog::fixed(Duration::from_secs(5))),
         ..ExecConfig::default()
     };
     let sup = Supervisor::new(RetryPolicy::default());
     let mut got = x.clone();
-    let report = conv
-        .convolve_supervised(&sup, &mut got, &mut work, &cfg)
+    let (forward, inverse) = conv
+        .convolve(&mut got, |p, z| sup.run(p, z, &mut work, &cfg))
         .expect("supervised convolution must recover");
     assert!(
-        report.recovered(),
+        forward.recovered() || inverse.recovered(),
         "the injected fault should have forced at least one recovery step"
     );
     let scale = clean.iter().map(|v| v.abs()).fold(1.0, f64::max);

@@ -19,10 +19,10 @@
 //! deterministically below the proptest block.
 
 use bwfft::core::exec_real::ExecConfig;
-use bwfft::core::{Dims, RetryPolicy, Supervisor};
+use bwfft::core::{execute_reference, Dims, RetryPolicy, Supervisor};
 use bwfft::num::signal::SplitMix64;
 use bwfft::num::Complex64;
-use bwfft::pipeline::{fault, FaultPlan, IntegrityConfig, Role};
+use bwfft::pipeline::{fault, AdaptiveWatchdog, FaultPlan, IntegrityConfig, Role};
 use bwfft::real::{packed_spectrum_energy, unpack_half_spectrum, RealFft1d, RealFftPlan};
 use proptest::prelude::*;
 use std::time::Duration;
@@ -148,17 +148,17 @@ proptest! {
             fault: Some(FaultPlan::panic_at(role, thread, iter)),
             integrity: IntegrityConfig::full(),
             verify_energy: true,
-            iter_timeout: Some(Duration::from_secs(5)),
+            adaptive_watchdog: Some(AdaptiveWatchdog::fixed(Duration::from_secs(5))),
             ..ExecConfig::default()
         };
         let x = random_real(plan.real_elems(), seed);
         let mut work = vec![Complex64::ZERO; plan.packed_elems()];
         let mut spec = vec![Complex64::ZERO; plan.spectrum_elems()];
         let sup = Supervisor::new(RetryPolicy::default());
-        plan.r2c_supervised(&sup, &x, &mut work, &mut spec, &cfg)
+        plan.r2c(&x, &mut spec, cfg.verify_energy, |p, z| sup.run(p, z, &mut work, &cfg))
             .map_err(|e| TestCaseError::Fail(format!("supervised r2c: {e}")))?;
         let mut want = vec![Complex64::ZERO; plan.spectrum_elems()];
-        plan.r2c_reference(&x, &mut want)
+        plan.r2c(&x, &mut want, false, execute_reference)
             .map_err(|e| TestCaseError::Fail(format!("reference r2c: {e}")))?;
         let scale = want.iter().map(|c| c.abs()).fold(1.0, f64::max);
         for (g, w) in spec.iter().zip(&want) {
