@@ -15,9 +15,11 @@
 //! r` (snapshot- and round-trip-tested in `tests/schema_bench.rs`).
 
 use crate::stats::SampleSummary;
-use bwfft_trace::value::{self, parse_document, push_escaped, push_f64, push_opt_f64, Value};
+use bwfft_trace::value::{
+    self, as_arr, as_bool, as_f64, as_obj, as_opt_f64, as_str, as_u64, as_usize, get,
+    parse_document, push_escaped, push_f64, push_opt_f64, SchemaError,
+};
 use bwfft_tuner::HostFingerprint;
-use std::collections::BTreeMap;
 use std::fmt;
 use std::path::Path;
 
@@ -201,6 +203,12 @@ impl fmt::Display for BenchJsonError {
 
 impl std::error::Error for BenchJsonError {}
 
+impl From<SchemaError> for BenchJsonError {
+    fn from(SchemaError(m): SchemaError) -> Self {
+        BenchJsonError::Schema(m)
+    }
+}
+
 /// Loading a BENCH file: I/O and schema failures, typed.
 #[derive(Debug)]
 pub enum BenchFileError {
@@ -363,52 +371,6 @@ pub fn to_json(report: &BenchReport) -> String {
 // Parser
 // ---------------------------------------------------------------------------
 
-fn get<'v>(obj: &'v BTreeMap<String, Value>, key: &str) -> Result<&'v Value, BenchJsonError> {
-    obj.get(key)
-        .ok_or_else(|| BenchJsonError::Schema(format!("missing field {key:?}")))
-}
-
-fn as_str(v: &Value, key: &str) -> Result<String, BenchJsonError> {
-    v.as_str()
-        .map(str::to_string)
-        .ok_or_else(|| BenchJsonError::Schema(format!("{key:?} must be a string")))
-}
-
-fn as_u64(v: &Value, key: &str) -> Result<u64, BenchJsonError> {
-    v.as_u64()
-        .ok_or_else(|| BenchJsonError::Schema(format!("{key:?} must be a non-negative integer")))
-}
-
-fn as_usize(v: &Value, key: &str) -> Result<usize, BenchJsonError> {
-    v.as_usize()
-        .ok_or_else(|| BenchJsonError::Schema(format!("{key:?} out of range")))
-}
-
-fn as_bool(v: &Value, key: &str) -> Result<bool, BenchJsonError> {
-    v.as_bool()
-        .ok_or_else(|| BenchJsonError::Schema(format!("{key:?} must be a boolean")))
-}
-
-fn as_f64(v: &Value, key: &str) -> Result<f64, BenchJsonError> {
-    v.as_f64()
-        .ok_or_else(|| BenchJsonError::Schema(format!("{key:?} must be a number")))
-}
-
-fn as_opt_f64(v: &Value, key: &str) -> Result<Option<f64>, BenchJsonError> {
-    v.as_opt_f64()
-        .ok_or_else(|| BenchJsonError::Schema(format!("{key:?} must be number or null")))
-}
-
-fn as_obj<'v>(v: &'v Value, key: &str) -> Result<&'v BTreeMap<String, Value>, BenchJsonError> {
-    v.as_obj()
-        .ok_or_else(|| BenchJsonError::Schema(format!("{key:?} must be an object")))
-}
-
-fn as_arr<'v>(v: &'v Value, key: &str) -> Result<&'v [Value], BenchJsonError> {
-    v.as_arr()
-        .ok_or_else(|| BenchJsonError::Schema(format!("{key:?} must be an array")))
-}
-
 /// Parse a document produced by [`to_json`] back into a
 /// [`BenchReport`]. Rejects documents carrying a different
 /// [`SCHEMA_VERSION`].
@@ -418,7 +380,7 @@ pub fn from_json(src: &str) -> Result<BenchReport, BenchJsonError> {
     })?;
     let obj = as_obj(&root, "<root>")?;
 
-    let schema = as_str(get(obj, "schema")?, "schema")?;
+    let schema = as_str(get(obj, "schema")?, "schema")?.to_string();
     if schema != SCHEMA_VERSION {
         return Err(BenchJsonError::Version { found: schema });
     }
@@ -453,9 +415,9 @@ pub fn from_json(src: &str) -> Result<BenchReport, BenchJsonError> {
                 })
                 .collect::<Result<Vec<_>, BenchJsonError>>()?;
             Ok(SuiteResult {
-                key: as_str(get(s, "key")?, "key")?,
-                label: as_str(get(s, "label")?, "label")?,
-                executor: as_str(get(s, "executor")?, "executor")?,
+                key: as_str(get(s, "key")?, "key")?.to_string(),
+                label: as_str(get(s, "label")?, "label")?.to_string(),
+                executor: as_str(get(s, "executor")?, "executor")?.to_string(),
                 p_d: as_usize(get(s, "p_d")?, "p_d")?,
                 p_c: as_usize(get(s, "p_c")?, "p_c")?,
                 buffer_elems: as_usize(get(s, "buffer_elems")?, "buffer_elems")?,
@@ -570,11 +532,11 @@ pub fn from_json(src: &str) -> Result<BenchReport, BenchJsonError> {
 
     Ok(BenchReport {
         schema,
-        git_rev: as_str(get(obj, "git_rev")?, "git_rev")?,
-        suite_kind: as_str(get(obj, "suite_kind")?, "suite_kind")?,
+        git_rev: as_str(get(obj, "git_rev")?, "git_rev")?.to_string(),
+        suite_kind: as_str(get(obj, "suite_kind")?, "suite_kind")?.to_string(),
         seed: as_u64(get(obj, "seed")?, "seed")?,
         fingerprint,
-        anchor_machine: as_str(get(obj, "anchor_machine")?, "anchor_machine")?,
+        anchor_machine: as_str(get(obj, "anchor_machine")?, "anchor_machine")?.to_string(),
         stream_gbs: as_f64(get(obj, "stream_gbs")?, "stream_gbs")?,
         suites,
     })

@@ -4,8 +4,9 @@
 //! `bwfft-core` sits between the pipeline executor, the machine
 //! simulator and the planner, so [`CoreError`] wraps each layer's typed
 //! error and adds the cross-layer conditions (argument lengths, plan ↔
-//! machine mismatches) it checks itself. The `bwfft` facade flattens
-//! this further into `BwfftError`.
+//! machine mismatches) it checks itself. [`CoreError::is_usage`] is the
+//! one place that splits a caller's mistake from a runtime fault: the
+//! supervisor never retries the former, and the CLI exits 2 on it.
 
 use crate::plan::PlanError;
 use bwfft_machine::EngineError;
@@ -56,6 +57,20 @@ impl CoreError {
             CoreError::Pipeline(PipelineError::Integrity { kind, .. }) => Some(*kind),
             _ => None,
         }
+    }
+
+    /// True for errors caused by caller input (a bad plan, wrong array
+    /// lengths, a plan ↔ machine mismatch, a rejected pipeline
+    /// configuration) rather than a runtime fault. Retrying, shrinking
+    /// or switching executors cannot fix these.
+    pub fn is_usage(&self) -> bool {
+        matches!(
+            self,
+            CoreError::Plan(_)
+                | CoreError::InputLength { .. }
+                | CoreError::SocketMismatch { .. }
+                | CoreError::Pipeline(PipelineError::Config(_))
+        )
     }
 }
 
@@ -173,6 +188,74 @@ mod tests {
         assert_eq!(wrapped.integrity_kind(), Some(IntegrityKind::Checksum));
         let other = CoreError::SocketMismatch { plan: 2, machine: 1 };
         assert_eq!(other.integrity_kind(), None);
+    }
+
+    #[test]
+    fn usage_is_caller_input_and_nothing_else() {
+        use bwfft_pipeline::{CancelReason, ConfigError, Role};
+        let usage: [CoreError; 4] = [
+            PlanError::NotPow2("dim", 12).into(),
+            CoreError::InputLength {
+                what: "data",
+                expected: 8,
+                got: 4,
+            },
+            CoreError::SocketMismatch {
+                plan: 2,
+                machine: 1,
+            },
+            PipelineError::Config(ConfigError::ZeroIters).into(),
+        ];
+        for e in &usage {
+            assert!(e.is_usage(), "{e:?}");
+        }
+        let runtime: [CoreError; 8] = [
+            PipelineError::WorkerPanicked {
+                role: Role::Compute,
+                thread: 0,
+                iter: 1,
+                message: "boom".into(),
+            }
+            .into(),
+            PipelineError::StageTimeout {
+                role: Role::Data,
+                thread: 0,
+                iter: 2,
+                timeout: core::time::Duration::from_secs(1),
+            }
+            .into(),
+            PipelineError::Integrity {
+                stage: 1,
+                block: 4,
+                kind: IntegrityKind::Checksum,
+            }
+            .into(),
+            PipelineError::Cancelled {
+                iter: 3,
+                reason: CancelReason::Deadline,
+            }
+            .into(),
+            // Only the simulator raises `Engine`; a failed simulation
+            // is a runtime fault, not caller input.
+            EngineError::UndeclaredBarrier { id: 1 }.into(),
+            CoreError::Integrity {
+                stage: 0,
+                block: 0,
+                kind: IntegrityKind::Energy,
+            },
+            AllocError {
+                what: "double buffer",
+                bytes: 1 << 40,
+            }
+            .into(),
+            CoreError::Pipeline(PipelineError::Cancelled {
+                iter: 0,
+                reason: CancelReason::Shutdown,
+            }),
+        ];
+        for e in &runtime {
+            assert!(!e.is_usage(), "{e:?}");
+        }
     }
 
     #[test]

@@ -219,6 +219,19 @@ pub fn execute_with(
     work: &mut [Complex64],
     cfg: &ExecConfig,
 ) -> Result<ExecReport, CoreError> {
+    execute_as(plan.executor, plan, data, work, cfg)
+}
+
+/// [`execute_with`] on the executor `kind` instead of the plan's own,
+/// so the supervisor's fused tier runs the caller's plan without a
+/// copy.
+pub(crate) fn execute_as(
+    kind: ExecutorKind,
+    plan: &FftPlan,
+    data: &mut [Complex64],
+    work: &mut [Complex64],
+    cfg: &ExecConfig,
+) -> Result<ExecReport, CoreError> {
     check_lengths(plan, data, work)?;
 
     // A profiled run records *why* it was degraded alongside the
@@ -233,7 +246,7 @@ pub fn execute_with(
 
     // Graceful degradation: a plan built against a host profile that
     // cannot sustain the pipeline dispatches to the fused executor.
-    let report = if plan.executor == ExecutorKind::Fused {
+    let report = if kind == ExecutorKind::Fused {
         fused_impl(plan, data, work, cfg)?
     } else {
         pipelined_impl(plan, data, work, cfg)?

@@ -18,8 +18,9 @@
 //! [`SupervisedReport`] (machine-readable) and, when a trace collector
 //! is attached, as a [`MarkKind::Recovery`] mark so `--profile` output
 //! shows what recovery cost. Retries restore the caller's input from a
-//! snapshot taken on entry, so every attempt starts from a consistent
-//! state regardless of how far the failed one got.
+//! snapshot taken on entry, so every retry starts from a consistent
+//! state regardless of how far the failed attempt got. The caller's
+//! plan is borrowed: a tier copies it only to shrink its buffer.
 //!
 //! Backoff is deterministic (`base · factor^(attempt-1)`, capped): given
 //! the same seed/fault plan, a supervised run takes the same attempts,
@@ -27,7 +28,7 @@
 //! the soak harness asserts.
 
 use crate::error::CoreError;
-use crate::exec_real::{execute_with, ExecConfig, ExecReport};
+use crate::exec_real::{execute_as, execute_with, ExecConfig, ExecReport};
 use crate::host::ExecutorKind;
 use crate::plan::{FftPlan, PlanError};
 use crate::reference::execute_reference;
@@ -203,6 +204,20 @@ impl Supervisor {
         work: &mut [Complex64],
         cfg: &ExecConfig,
     ) -> Result<SupervisedReport, CoreError> {
+        self.run_from(ExecutorKind::Pipelined, plan, data, work, cfg)
+    }
+
+    /// [`run`](Self::run), with the ladder entered at the later of
+    /// `start` and `plan.executor`: a fused start (or a plan already
+    /// degraded to the fused executor) skips the pipelined tier.
+    pub fn run_from(
+        &self,
+        start: ExecutorKind,
+        plan: &FftPlan,
+        data: &mut [Complex64],
+        work: &mut [Complex64],
+        cfg: &ExecConfig,
+    ) -> Result<SupervisedReport, CoreError> {
         // Snapshot for retry-from-consistent-state. A failed attempt
         // leaves `data`/`work` unspecified; each retry restores the
         // input first. Allocated fallibly exactly once, up front: a
@@ -218,13 +233,14 @@ impl Supervisor {
 
         let mut events: Vec<RecoveryEvent> = Vec::new();
         let mut attempts_total = 0usize;
-        // A plan already degraded to the fused executor starts there.
-        let mut tier = if plan.executor == ExecutorKind::Fused {
+        let mut tier = if start == ExecutorKind::Fused || plan.executor == ExecutorKind::Fused {
             RecoveryTier::Fused
         } else {
             RecoveryTier::Pipelined
         };
-        let mut tier_plan = plan.clone();
+        // The caller's plan, borrowed; a tier owns a copy only once it
+        // has shrunk the buffer.
+        let mut shrunk: Option<FftPlan> = None;
         let mut last_err: Option<CoreError> = None;
 
         loop {
@@ -233,16 +249,20 @@ impl Supervisor {
             let outcome = loop {
                 attempt += 1;
                 attempts_total += 1;
-                data.copy_from_slice(&snapshot);
+                if attempts_total > 1 {
+                    data.copy_from_slice(&snapshot);
+                }
+                let tier_plan = shrunk.as_ref().unwrap_or(plan);
                 let result: Result<Option<ExecReport>, CoreError> = match tier {
-                    RecoveryTier::Reference => {
-                        execute_reference(&tier_plan, data).map(|()| None)
+                    RecoveryTier::Reference => execute_reference(tier_plan, data).map(|()| None),
+                    RecoveryTier::Fused => {
+                        execute_as(ExecutorKind::Fused, tier_plan, data, work, &cfg).map(Some)
                     }
-                    _ => execute_with(&tier_plan, data, work, &cfg).map(Some),
+                    RecoveryTier::Pipelined => execute_with(tier_plan, data, work, &cfg).map(Some),
                 };
                 match result {
                     Ok(exec) => break Ok(exec),
-                    Err(e) if is_usage(&e) => return Err(e),
+                    Err(e) if e.is_usage() => return Err(e),
                     // Cancellation (deadline or drain) is a verdict,
                     // not a fault: retrying or escalating a cancelled
                     // request would keep burning its worker past the
@@ -256,7 +276,7 @@ impl Supervisor {
                             break Err(e);
                         }
                         let old_b = tier_plan.buffer_elems;
-                        match shrink_plan(&tier_plan, old_b / 2) {
+                        match shrink_plan(tier_plan, old_b / 2) {
                             Ok(smaller) => {
                                 shrinks += 1;
                                 self.record(
@@ -273,7 +293,7 @@ impl Supervisor {
                                         backoff: Duration::ZERO,
                                     },
                                 );
-                                tier_plan = smaller;
+                                shrunk = Some(smaller);
                             }
                             // Can't shrink further (one-pencil floor or
                             // divisibility): this tier is out of moves.
@@ -336,11 +356,7 @@ impl Supervisor {
                         tier = next;
                         // Each tier starts from the caller's plan, not
                         // the shrunken one the failed tier ended with.
-                        tier_plan = plan.clone();
-                        tier_plan.executor = match tier {
-                            RecoveryTier::Fused => ExecutorKind::Fused,
-                            _ => tier_plan.executor,
-                        };
+                        shrunk = None;
                     }
                     None => {
                         return Err(last_err.unwrap_or(e));
@@ -372,19 +388,6 @@ impl Supervisor {
         }
         events.push(ev);
     }
-}
-
-/// Usage errors cannot be fixed by retrying, shrinking, or switching
-/// executors — return them to the caller untouched.
-fn is_usage(e: &CoreError) -> bool {
-    matches!(
-        e,
-        CoreError::Plan(_)
-            | CoreError::InputLength { .. }
-            | CoreError::SocketMismatch { .. }
-            | CoreError::Engine(_)
-            | CoreError::Pipeline(PipelineError::Config(_))
-    )
 }
 
 /// Rebuilds the plan with a smaller buffer, revalidating every buffer
@@ -456,6 +459,53 @@ mod tests {
         assert_eq!(rep.attempts, 1);
         assert!(!rep.recovered());
         assert!(rep.exec.is_some());
+        assert_fft_close(&data, &oracle(&plan, &x));
+    }
+
+    #[test]
+    fn fused_start_runs_the_fused_tier_on_the_callers_plan() {
+        let plan = small_plan();
+        assert_eq!(plan.executor, ExecutorKind::Pipelined);
+        let x = random_complex(plan.dims.total(), 209);
+        let mut want = x.clone();
+        let mut work = vec![bwfft_num::Complex64::ZERO; x.len()];
+        crate::exec_real::execute_fused(&plan, &mut want, &mut work).unwrap();
+        let mut data = x.clone();
+        let sup = Supervisor::new(fast_policy());
+        let rep = sup
+            .run_from(
+                ExecutorKind::Fused,
+                &plan,
+                &mut data,
+                &mut work,
+                &ExecConfig::default(),
+            )
+            .unwrap();
+        assert_eq!(rep.tier, RecoveryTier::Fused);
+        assert_eq!(rep.attempts, 1);
+        assert_eq!(rep.exec.map(|e| e.executor), Some(ExecutorKind::Fused));
+        assert_eq!(data, want);
+    }
+
+    #[test]
+    fn a_fused_plan_starts_at_the_fused_tier() {
+        let mut plan = small_plan();
+        plan.executor = ExecutorKind::Fused;
+        let x = random_complex(plan.dims.total(), 210);
+        let mut data = x.clone();
+        let mut work = vec![bwfft_num::Complex64::ZERO; x.len()];
+        let sup = Supervisor::new(fast_policy());
+        let rep = sup
+            .run_from(
+                ExecutorKind::Pipelined,
+                &plan,
+                &mut data,
+                &mut work,
+                &ExecConfig::default(),
+            )
+            .unwrap();
+        assert_eq!(rep.tier, RecoveryTier::Fused);
+        assert_eq!(rep.exec.map(|e| e.executor), Some(ExecutorKind::Fused));
         assert_fft_close(&data, &oracle(&plan, &x));
     }
 

@@ -26,12 +26,11 @@ use std::time::Instant;
 
 use bwfft_trace::{MarkKind, Phase, TraceEvent, TraceRole};
 
-use bwfft_trace::value::{parse_document, push_escaped, push_opt_f64, Value};
-
-use crate::snapshot::{
-    as_arr, as_obj, as_str, as_u64, check_version, get, schema_err, MetricsError,
-    FLIGHT_SCHEMA_VERSION,
+use bwfft_trace::value::{
+    as_arr, as_obj, as_str, as_u64, get, parse_document, push_escaped, push_opt_f64, Value,
 };
+
+use crate::snapshot::{check_version, schema_err, MetricsError, FLIGHT_SCHEMA_VERSION};
 
 const DEFAULT_SHARDS: usize = 8;
 const DEFAULT_MAX_DUMPS: usize = 16;

@@ -16,7 +16,10 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use bwfft_trace::value::{parse_document, push_escaped, push_f64, ParseError, Value};
+use bwfft_trace::value::{
+    as_arr, as_f64, as_obj, as_str, as_u64, get, parse_document, push_escaped, push_f64,
+    ParseError, SchemaError, Value,
+};
 
 use crate::registry::{bucket_upper, HistogramSnapshot, BUCKETS};
 
@@ -52,38 +55,14 @@ impl fmt::Display for MetricsError {
 
 impl std::error::Error for MetricsError {}
 
+impl From<SchemaError> for MetricsError {
+    fn from(SchemaError(what): SchemaError) -> Self {
+        MetricsError::Schema(what)
+    }
+}
+
 pub(crate) fn schema_err(what: impl Into<String>) -> MetricsError {
     MetricsError::Schema(what.into())
-}
-
-pub(crate) fn get<'v>(
-    obj: &'v BTreeMap<String, Value>,
-    key: &str,
-) -> Result<&'v Value, MetricsError> {
-    obj.get(key).ok_or_else(|| schema_err(format!("missing {key:?}")))
-}
-
-pub(crate) fn as_u64(v: &Value, what: &str) -> Result<u64, MetricsError> {
-    v.as_u64().ok_or_else(|| schema_err(format!("{what} must be u64")))
-}
-
-pub(crate) fn as_f64(v: &Value, what: &str) -> Result<f64, MetricsError> {
-    v.as_f64().ok_or_else(|| schema_err(format!("{what} must be a number")))
-}
-
-pub(crate) fn as_str<'v>(v: &'v Value, what: &str) -> Result<&'v str, MetricsError> {
-    v.as_str().ok_or_else(|| schema_err(format!("{what} must be a string")))
-}
-
-pub(crate) fn as_obj<'v>(
-    v: &'v Value,
-    what: &str,
-) -> Result<&'v BTreeMap<String, Value>, MetricsError> {
-    v.as_obj().ok_or_else(|| schema_err(format!("{what} must be an object")))
-}
-
-pub(crate) fn as_arr<'v>(v: &'v Value, what: &str) -> Result<&'v [Value], MetricsError> {
-    v.as_arr().ok_or_else(|| schema_err(format!("{what} must be an array")))
 }
 
 pub(crate) fn check_version(

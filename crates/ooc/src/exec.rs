@@ -583,7 +583,6 @@ fn run_stage_recovered(
     };
     let attempts = cfg.retry.max_attempts.max(1);
     let mut last = String::new();
-    let mut backoff = cfg.retry.backoff_base;
     for n in 0..attempts {
         // Each attempt rewrites the stage's whole (pending)
         // destination, so reruns are idempotent.
@@ -600,11 +599,9 @@ fn run_stage_recovered(
                 n + 1
             ),
         );
+        let backoff = cfg.retry.backoff_for(n + 1);
         if n + 1 < attempts && !backoff.is_zero() {
-            std::thread::sleep(backoff.min(cfg.retry.backoff_cap));
-            backoff = backoff
-                .saturating_mul(cfg.retry.backoff_factor.max(1))
-                .min(cfg.retry.backoff_cap);
+            std::thread::sleep(backoff);
         }
     }
     *serial_fallbacks += 1;

@@ -110,7 +110,8 @@ pub struct OocConfig {
     /// strides and the default budget.
     pub spec: MachineSpec,
     /// Per-stage retry ladder (attempts, backoff) before the serial
-    /// fallback tier.
+    /// fallback tier. Its `max_shrinks` and `watchdog` do not apply:
+    /// the storage ladder neither shrinks buffers nor arms a watchdog.
     pub retry: RetryPolicy,
     /// Pipeline integrity guards (canaries + checksums) per stage.
     pub integrity: IntegrityConfig,

@@ -3,8 +3,8 @@
 //! The executor never panics across its public boundary: configuration
 //! mistakes surface as [`ConfigError`], a contained worker panic as
 //! [`PipelineError::WorkerPanicked`], and a watchdog expiry as
-//! [`PipelineError::StageTimeout`]. `bwfft-core` converts these into
-//! its own error type and the facade into `BwfftError`.
+//! [`PipelineError::StageTimeout`]. `bwfft-core` wraps these in its own
+//! error type, which classifies them.
 
 use crate::cancel::CancelReason;
 use crate::roles::Role;

@@ -818,13 +818,18 @@ fn run_at_tier(
                 cancel: Some(token.clone()),
                 ..ExecConfig::default()
             };
-            let mut plan = plan.clone();
-            if start == RecoveryTier::Fused {
-                plan.executor = ExecutorKind::Fused;
-            }
-            let rep = shared
-                .supervisor
-                .run(&plan, data.as_mut_slice(), work.as_mut_slice(), &cfg)?;
+            let start = if start == RecoveryTier::Fused {
+                ExecutorKind::Fused
+            } else {
+                ExecutorKind::Pipelined
+            };
+            let rep = shared.supervisor.run_from(
+                start,
+                plan,
+                data.as_mut_slice(),
+                work.as_mut_slice(),
+                &cfg,
+            )?;
             Ok((rep.tier, rep.recovered()))
         }
     }

@@ -31,12 +31,14 @@
 //! }
 //! ```
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 use crate::aggregate::{StageProfile, TraceReport};
 use crate::event::{MarkEvent, MarkKind};
-use crate::value::{self, parse_document, push_escaped, push_f64, push_opt_f64, Value};
+use crate::value::{
+    self, as_arr, as_f64, as_obj, as_opt_f64, as_str, as_u64, as_usize, get, parse_document,
+    push_escaped, push_f64, push_opt_f64, SchemaError,
+};
 
 /// Current export schema tag. Bump the `/N` suffix on any breaking
 /// field change; the snapshot test in `tests/proptest_trace.rs` pins it.
@@ -69,6 +71,12 @@ impl fmt::Display for JsonError {
 }
 
 impl std::error::Error for JsonError {}
+
+impl From<SchemaError> for JsonError {
+    fn from(SchemaError(m): SchemaError) -> Self {
+        JsonError::Schema(m)
+    }
+}
 
 // ---------------------------------------------------------------------------
 // Emitter
@@ -131,64 +139,6 @@ pub fn to_json(report: &TraceReport) -> String {
 // Schema mapping (the generic parser lives in [`crate::value`])
 // ---------------------------------------------------------------------------
 
-fn get<'v>(obj: &'v BTreeMap<String, Value>, key: &str) -> Result<&'v Value, JsonError> {
-    obj.get(key)
-        .ok_or_else(|| JsonError::Schema(format!("missing field {key:?}")))
-}
-
-fn as_str(v: &Value, key: &str) -> Result<String, JsonError> {
-    match v {
-        Value::Str(s) => Ok(s.clone()),
-        _ => Err(JsonError::Schema(format!("{key:?} must be a string"))),
-    }
-}
-
-fn as_u64(v: &Value, key: &str) -> Result<u64, JsonError> {
-    match v {
-        Value::Int(i) => Ok(*i),
-        Value::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= u64::MAX as f64 => Ok(*n as u64),
-        _ => Err(JsonError::Schema(format!(
-            "{key:?} must be a non-negative integer"
-        ))),
-    }
-}
-
-fn as_usize(v: &Value, key: &str) -> Result<usize, JsonError> {
-    usize::try_from(as_u64(v, key)?)
-        .map_err(|_| JsonError::Schema(format!("{key:?} out of range")))
-}
-
-fn as_f64(v: &Value, key: &str) -> Result<f64, JsonError> {
-    match v {
-        Value::Int(i) => Ok(*i as f64),
-        Value::Num(n) => Ok(*n),
-        _ => Err(JsonError::Schema(format!("{key:?} must be a number"))),
-    }
-}
-
-fn as_opt_f64(v: &Value, key: &str) -> Result<Option<f64>, JsonError> {
-    match v {
-        Value::Null => Ok(None),
-        Value::Int(i) => Ok(Some(*i as f64)),
-        Value::Num(n) => Ok(Some(*n)),
-        _ => Err(JsonError::Schema(format!("{key:?} must be number or null"))),
-    }
-}
-
-fn as_obj<'v>(v: &'v Value, key: &str) -> Result<&'v BTreeMap<String, Value>, JsonError> {
-    match v {
-        Value::Obj(m) => Ok(m),
-        _ => Err(JsonError::Schema(format!("{key:?} must be an object"))),
-    }
-}
-
-fn as_arr<'v>(v: &'v Value, key: &str) -> Result<&'v [Value], JsonError> {
-    match v {
-        Value::Arr(a) => Ok(a),
-        _ => Err(JsonError::Schema(format!("{key:?} must be an array"))),
-    }
-}
-
 /// Parse a JSON document produced by [`to_json`] back into a
 /// [`TraceReport`]. Rejects documents carrying a different
 /// [`SCHEMA_VERSION`].
@@ -198,7 +148,7 @@ pub fn from_json(src: &str) -> Result<TraceReport, JsonError> {
     })?;
     let obj = as_obj(&root, "<root>")?;
 
-    let schema = as_str(get(obj, "schema")?, "schema")?;
+    let schema = as_str(get(obj, "schema")?, "schema")?.to_string();
     if schema != SCHEMA_VERSION {
         return Err(JsonError::Version { found: schema });
     }
@@ -232,11 +182,11 @@ pub fn from_json(src: &str) -> Result<TraceReport, JsonError> {
         .map(|v| {
             let m = as_obj(v, "marks[]")?;
             let kind_tok = as_str(get(m, "kind")?, "kind")?;
-            let kind = MarkKind::from_token(&kind_tok)
+            let kind = MarkKind::from_token(kind_tok)
                 .ok_or_else(|| JsonError::Schema(format!("unknown mark kind {kind_tok:?}")))?;
             Ok(MarkEvent {
                 kind,
-                label: as_str(get(m, "label")?, "label")?,
+                label: as_str(get(m, "label")?, "label")?.to_string(),
                 at_ns: as_u64(get(m, "at_ns")?, "at_ns")?,
                 value_ns: as_opt_f64(get(m, "value_ns")?, "value_ns")?,
             })
@@ -245,8 +195,8 @@ pub fn from_json(src: &str) -> Result<TraceReport, JsonError> {
 
     Ok(TraceReport {
         schema,
-        label: as_str(get(obj, "label")?, "label")?,
-        executor: as_str(get(obj, "executor")?, "executor")?,
+        label: as_str(get(obj, "label")?, "label")?.to_string(),
+        executor: as_str(get(obj, "executor")?, "executor")?.to_string(),
         total_wall_ns: as_u64(get(obj, "total_wall_ns")?, "total_wall_ns")?,
         stages,
         marks,

@@ -109,6 +109,62 @@ impl fmt::Display for ParseError {
 impl std::error::Error for ParseError {}
 
 // ---------------------------------------------------------------------------
+// Schema readers
+// ---------------------------------------------------------------------------
+
+/// A parsed document that does not match its schema: a missing field,
+/// or a value of the wrong type. Each schema maps it into its own
+/// error's `Schema` variant.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct SchemaError(pub String);
+
+/// The required field `key` of `obj`.
+pub fn get<'v>(obj: &'v BTreeMap<String, Value>, key: &str) -> Result<&'v Value, SchemaError> {
+    obj.get(key)
+        .ok_or_else(|| SchemaError(format!("missing field {key:?}")))
+}
+
+/// The schema message for a value `what` that is not `kind`.
+fn mismatch(what: &str, kind: &str) -> SchemaError {
+    SchemaError(format!("{what:?} must be {kind}"))
+}
+
+/// `v` as a string; `what` names it in the schema message.
+pub fn as_str<'v>(v: &'v Value, what: &str) -> Result<&'v str, SchemaError> {
+    v.as_str().ok_or_else(|| mismatch(what, "a string"))
+}
+
+pub fn as_bool(v: &Value, what: &str) -> Result<bool, SchemaError> {
+    v.as_bool().ok_or_else(|| mismatch(what, "a boolean"))
+}
+
+pub fn as_u64(v: &Value, what: &str) -> Result<u64, SchemaError> {
+    v.as_u64()
+        .ok_or_else(|| mismatch(what, "a non-negative integer"))
+}
+
+pub fn as_usize(v: &Value, what: &str) -> Result<usize, SchemaError> {
+    usize::try_from(as_u64(v, what)?).map_err(|_| SchemaError(format!("{what:?} out of range")))
+}
+
+pub fn as_f64(v: &Value, what: &str) -> Result<f64, SchemaError> {
+    v.as_f64().ok_or_else(|| mismatch(what, "a number"))
+}
+
+pub fn as_opt_f64(v: &Value, what: &str) -> Result<Option<f64>, SchemaError> {
+    v.as_opt_f64()
+        .ok_or_else(|| mismatch(what, "number or null"))
+}
+
+pub fn as_obj<'v>(v: &'v Value, what: &str) -> Result<&'v BTreeMap<String, Value>, SchemaError> {
+    v.as_obj().ok_or_else(|| mismatch(what, "an object"))
+}
+
+pub fn as_arr<'v>(v: &'v Value, what: &str) -> Result<&'v [Value], SchemaError> {
+    v.as_arr().ok_or_else(|| mismatch(what, "an array"))
+}
+
+// ---------------------------------------------------------------------------
 // Emitter helpers
 // ---------------------------------------------------------------------------
 

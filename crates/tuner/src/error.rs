@@ -2,7 +2,8 @@
 //!
 //! Follows the workspace convention: every failure is a value, wisdom
 //! corruption is reported with the offending line, and nothing panics.
-//! The `bwfft` facade folds [`TunerError`] into `BwfftError::Tuner`.
+//! [`TunerError::is_usage`] splits caller input (bad wisdom, a plan
+//! that fails validation) from runtime faults.
 
 use bwfft_core::{CoreError, Dims, PlanError};
 
@@ -23,6 +24,19 @@ pub enum TunerError {
     /// 1-based. Version and host mismatches are *not* errors — they are
     /// typed re-tune reasons (`RetuneReason`).
     WisdomParse { line: usize, reason: String },
+}
+
+impl TunerError {
+    /// True for errors caused by caller input: a wisdom file that
+    /// cannot be read or parsed, or a plan assembled from it that fails
+    /// validation. A failed timing run is a runtime fault, whatever
+    /// its cause, and so is an empty search space.
+    pub fn is_usage(&self) -> bool {
+        matches!(
+            self,
+            TunerError::Plan(_) | TunerError::WisdomIo { .. } | TunerError::WisdomParse { .. }
+        )
+    }
 }
 
 impl From<PlanError> for TunerError {
@@ -98,6 +112,38 @@ mod tests {
     fn core_plan_errors_flatten_to_plan() {
         let e: TunerError = CoreError::Plan(PlanError::NotPow2("b", 3)).into();
         assert!(matches!(e, TunerError::Plan(_)));
+    }
+
+    #[test]
+    fn usage_is_bad_wisdom_or_an_invalid_plan() {
+        let usage = [
+            TunerError::Plan(PlanError::NotPow2("mu", 3)),
+            TunerError::WisdomIo {
+                path: "/nope".into(),
+                detail: "denied".into(),
+            },
+            TunerError::WisdomParse {
+                line: 4,
+                reason: "bad token".into(),
+            },
+        ];
+        for e in &usage {
+            assert!(e.is_usage(), "{e:?}");
+        }
+        // A timing run that failed on caller-shaped input is still a
+        // runtime fault of the tuner.
+        let runtime = [
+            TunerError::Exec(CoreError::SocketMismatch {
+                plan: 2,
+                machine: 1,
+            }),
+            TunerError::EmptySearchSpace {
+                dims: Dims::d2(8, 8),
+            },
+        ];
+        for e in &runtime {
+            assert!(!e.is_usage(), "{e:?}");
+        }
     }
 
     #[test]

@@ -73,6 +73,21 @@ echo "$out4" | grep -q "tuning skipped (wisdom hit)" \
   || { echo "tuner smoke FAILED: rewritten wisdom not reused in:"; echo "$out4"; exit 1; }
 echo "tuner smoke: OK"
 
+echo "== flag table smoke (a flag outside the subcommand's row is exit 2, named) =="
+# refused FLAG ARGS...: `bwfft-cli ARGS` must exit 2 and name FLAG on stderr.
+refused() {
+  local flag="$1" rc=0
+  shift
+  cargo run -q --bin bwfft-cli -- "$@" > /dev/null 2> "$benchdir/flag.err" || rc=$?
+  [ "$rc" -eq 2 ] \
+    || { echo "flag table smoke FAILED: \`$*\` exited $rc, expected 2"; exit 1; }
+  grep -qF -- "$flag" "$benchdir/flag.err" \
+    || { echo "flag table smoke FAILED: \`$*\` did not name $flag:"; cat "$benchdir/flag.err"; exit 1; }
+}
+refused --inverse serve --requests 1 --inverse
+refused --suite run --dims 8x8 --suite fast
+echo "flag table smoke: OK"
+
 echo "== profile smoke (--profile=json emits parseable, finite report) =="
 # The JSON trace report is the last line of stdout by contract.
 profile_json="$(cargo run -q --bin bwfft-cli -- run --dims 64x64 --threads 2,2 --profile=json | tail -n 1)"

@@ -1,35 +1,10 @@
 //! `bwfft-cli` — run and simulate bandwidth-efficient FFTs from the
 //! command line.
 //!
-//! ```text
-//! bwfft-cli machines
-//! bwfft-cli run --dims 64x64x64 --threads 2,2 [--buffer 16384] [--inverse] [--verify]
-//!               [--adapt] [--integrity] [--recover] [--inject-panic ROLE,T,I]
-//!               [--timeout-ms N] [--seed S] [--profile[=json]] [--machine NAME]
-//! bwfft-cli simulate --dims 512x512x512 --machine kabylake [--sockets 2] [--baselines]
-//! bwfft-cli stream --machine haswell2667
-//! bwfft-cli tune --dims 64x64 [--inverse] [--model-only] [--plan-stats] [--wisdom PATH]
-//!               [--profile[=json]]
-//! bwfft-cli bench [--suite smoke|fast|full] [--reps N] [--warmup N] [--seed S]
-//!                 [--machine NAME] [--out PATH] [--derate F]
-//!                 [--integrity [--baseline-out PATH]]
-//!                 [--compare BASELINE [--current PATH]] [--threshold PCT]
-//! bwfft-cli soak [--iters N] [--seed S] [--stall-ms N] [--serve [--serve-iters N]]
-//!                [--ooc-kill [--ooc-dir PATH]]
-//! bwfft-cli serve --requests N [--dims KxNxM] [--buffer B] [--threads D,C]
-//!                 [--workers W] [--queue-depth Q] [--byte-budget BYTES]
-//!                 [--deadline-ms N] [--arrival-us N] [--seed S]
-//! bwfft-cli ooc --n N [--budget BYTES] [--bins K] [--seed S] [--inverse]
-//!               [--threads D,C] [--inject-io-fault KIND,STAGE,ITER]
-//!               [--workspace PATH [--resume] [--keep-workspace]
-//!                [--resume-verify sample:K|all] [--crash-at STAGE,BLOCK]]
-//! bwfft-cli workspace gc --dir PATH [--older-than-secs N]
-//! bwfft-cli r2c --dims KxNxM [--threads D,C] [--buffer B] [--seed S] [--verify]
-//!               [--integrity] [--recover] [--inject-panic ROLE,T,I] [--timeout-ms N]
-//! bwfft-cli conv --dims KxNxM [--threads D,C] [--buffer B] [--seed S] [--impulse]
-//!                [--verify] [--integrity] [--recover] [--inject-panic ROLE,T,I]
-//!                [--timeout-ms N]
-//! ```
+//! Every subcommand declares its flags once, in `COMMANDS`: the
+//! parser refuses any flag outside the subcommand's row (exit 2, naming
+//! both), and the usage text printed on exit 2 is rendered from the
+//! same table.
 //!
 //! `--profile` traces the run and prints the per-stage roofline/overlap
 //! summary; `--profile=json` emits the versioned JSON trace report as
@@ -134,14 +109,16 @@
 //! |------|-------|--------|
 //! | 0 | success | — |
 //! | 0 | serve drained | graceful drain: every submission got exactly one typed outcome; shed requests (`queue_full`, `byte_budget`, `pool_exhausted`, `breaker_open`, `shutting_down`) and `deadline-exceeded` outcomes are counted and reported, not faults |
-//! | 1 | runtime fault | `WorkerPanicked`, `StageTimeout`, `Simulation`, `Integrity`, `Allocation`, failed verification, perf regression, soak contract violation, non-usage `Tuner`, every typed `ooc` failure (infeasible size/budget, exhausted stage ladder, oracle or Parseval mismatch, journal clobber/corruption, resume plan or fingerprint mismatch, scratch corruption) |
+//! | 1 | runtime fault | `WorkerPanicked`, `StageTimeout`, `Cancelled`, `Engine` (simulation), `Integrity`, `Allocation`, failed verification, perf regression, soak contract violation, non-usage `TunerError`, every typed `ooc` failure (infeasible size/budget, exhausted stage ladder, oracle or Parseval mismatch, journal clobber/corruption, resume plan or fingerprint mismatch, scratch corruption) |
 //! | 1 | serve fault | `Failed` request outcomes, drain accounting that does not balance, serve-soak contract violation |
-//! | 2 | usage | `Plan`, `Config`, `InputLength`, `SocketMismatch`, bad-wisdom `Tuner`, bad flags, serve `InvalidRequest`/`InputLength` (malformed descriptors are the caller's fault, never load shedding) |
+//! | 2 | usage | `Plan`, `Config`, `InputLength`, `SocketMismatch`, bad-wisdom `TunerError`, bad flags, serve `InvalidRequest`/`InputLength` (malformed descriptors are the caller's fault, never load shedding) |
 //!
-//! The mapping is `BwfftError::is_usage()` / `ServeError::is_usage()`;
-//! `exit_code_discipline` and `serve_exit_code_discipline` in the test
-//! module assert it variant by variant. User errors print a one-line
-//! typed message, never a backtrace.
+//! The mapping is each crate error's own `is_usage()`:
+//! `CoreError::is_usage()`, `TunerError::is_usage()` and
+//! `ServeError::is_usage()`; `exit_code_discipline` and
+//! `serve_exit_code_discipline` in the test module assert it variant by
+//! variant. User errors print a one-line typed message, never a
+//! backtrace.
 
 use bwfft::baselines::{reference_impl, simulate_baseline, BaselineKind};
 use bwfft::bench::compare::{compare, derate, verdict_json, GateConfig};
@@ -155,6 +132,7 @@ use bwfft::bench::suite::SuiteKind;
 use bwfft::bench::{run_suite, run_suite_paired};
 use bwfft::core::exec_sim::{simulate, SimOptions};
 use bwfft::core::{exec_real, execute_reference, Dims, FftPlan, RetryPolicy, Supervisor};
+use bwfft::core::{CoreError, PlanError};
 use bwfft::kernels::Direction;
 use bwfft::machine::stream::stream_triad;
 use bwfft::machine::{presets, MachineSpec};
@@ -172,11 +150,12 @@ use bwfft::soak::{
     run_ooc_kill_soak, run_serve_soak, run_soak, OocKillSoakConfig, ServeSoakConfig, SoakConfig,
 };
 use bwfft::trace::TraceCollector;
+use bwfft::tuner::TunerError;
 use bwfft::tuner::{wisdom, HostFingerprint, PlanCache, Tuner, TunerOptions, Wisdom, WisdomLoad};
-use bwfft::BwfftError;
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+use std::str::FromStr;
 use std::sync::Arc;
 
 /// CLI failure, split by whose fault it is: usage errors (exit 2,
@@ -187,9 +166,10 @@ enum CliError {
     Runtime(String),
 }
 
-impl From<BwfftError> for CliError {
-    fn from(e: BwfftError) -> Self {
-        if e.is_usage() {
+impl CliError {
+    /// Classifies a crate error by that error type's own `is_usage()`.
+    fn classify(is_usage: bool, e: impl std::fmt::Display) -> Self {
+        if is_usage {
             CliError::Usage(e.to_string())
         } else {
             CliError::Runtime(e.to_string())
@@ -197,15 +177,29 @@ impl From<BwfftError> for CliError {
     }
 }
 
+impl From<CoreError> for CliError {
+    fn from(e: CoreError) -> Self {
+        CliError::classify(e.is_usage(), &e)
+    }
+}
+
+impl From<PlanError> for CliError {
+    fn from(e: PlanError) -> Self {
+        CoreError::Plan(e).into()
+    }
+}
+
+impl From<TunerError> for CliError {
+    fn from(e: TunerError) -> Self {
+        CliError::classify(e.is_usage(), &e)
+    }
+}
+
 impl From<ServeError> for CliError {
     fn from(e: ServeError) -> Self {
         // Malformed descriptors are the caller's fault (exit 2); load
         // shedding surfaced as an error is a runtime condition (exit 1).
-        if e.is_usage() {
-            CliError::Usage(e.to_string())
-        } else {
-            CliError::Runtime(e.to_string())
-        }
+        CliError::classify(e.is_usage(), &e)
     }
 }
 
@@ -219,7 +213,7 @@ fn main() -> ExitCode {
         Ok(()) => ExitCode::SUCCESS,
         Err(CliError::Usage(msg)) => {
             eprintln!("error: {msg}");
-            eprintln!("{USAGE}");
+            eprintln!("{}", usage_text());
             ExitCode::from(2)
         }
         Err(CliError::Runtime(msg)) => {
@@ -229,108 +223,277 @@ fn main() -> ExitCode {
     }
 }
 
-const USAGE: &str = "\
-usage:
-  bwfft-cli machines
-  bwfft-cli run --dims KxNxM [--threads D,C] [--buffer B] [--inverse] [--verify]
-                [--adapt] [--integrity] [--recover] [--inject-panic ROLE,T,I]
-                [--timeout-ms N] [--profile[=json]] [--machine NAME]
-  bwfft-cli simulate --dims KxNxM --machine NAME [--sockets S] [--baselines]
-  bwfft-cli stream --machine NAME
-  bwfft-cli tune --dims KxNxM [--inverse] [--model-only] [--plan-stats] [--wisdom PATH]
-                [--profile[=json]]
-  bwfft-cli bench [--suite smoke|fast|full|serve] [--reps N] [--warmup N] [--seed S]
-                  [--machine NAME] [--out PATH] [--derate F]
-                  [--integrity [--baseline-out PATH]]
-                  [--compare BASELINE [--current PATH]] [--threshold PCT]
-                  [--requests N] [--workers W] [--arrival-us N]
-                  [--metrics-overhead --baseline-out PATH]
-  bwfft-cli soak [--iters N] [--seed S] [--stall-ms N] [--serve [--serve-iters N]]
-                 [--ooc-kill [--ooc-dir PATH]]
-  bwfft-cli serve --requests N [--dims KxNxM] [--buffer B] [--threads D,C]
-                  [--workers W] [--queue-depth Q] [--byte-budget BYTES]
-                  [--deadline-ms N] [--arrival-us N] [--seed S]
-                  [--metrics[=json|prom]] [--metrics-every-ms N]
-  bwfft-cli stat --from A.json --to B.json
-  bwfft-cli ooc --n N [--budget BYTES] [--bins K] [--seed S] [--inverse]
-                [--threads D,C] [--inject-io-fault KIND,STAGE,ITER]
-                [--workspace PATH [--resume] [--keep-workspace]
-                 [--resume-verify sample:K|all] [--crash-at STAGE,BLOCK]]
-  bwfft-cli workspace gc --dir PATH [--older-than-secs N]
-  bwfft-cli r2c --dims KxNxM [--threads D,C] [--buffer B] [--seed S] [--verify]
-                [--integrity] [--recover] [--inject-panic ROLE,T,I] [--timeout-ms N]
-  bwfft-cli conv --dims KxNxM [--threads D,C] [--buffer B] [--seed S] [--impulse]
-                 [--verify] [--integrity] [--recover] [--inject-panic ROLE,T,I]
-                 [--timeout-ms N]
-machines: kabylake | haswell4770 | amdfx | haswell2667 | opteron6276";
+/// How a flag takes its value.
+#[derive(Clone, Copy)]
+enum Arg {
+    /// A boolean switch: `--verify`.
+    Switch,
+    /// A value in the next word, named by its metavar: `--seed S`.
+    Value(&'static str),
+    /// A value the subcommand cannot run without: `--dims KxNxM`.
+    Required(&'static str),
+    /// A switch with an optional glued value: `--profile[=json]`.
+    /// A separate-word value would be ambiguous with the next flag.
+    Glued(&'static str),
+}
+
+use Arg::{Glued, Required, Switch, Value};
+
+/// One subcommand: its name, every flag it reads, and its handler.
+struct Command {
+    name: &'static str,
+    flags: &'static [(&'static str, Arg)],
+    run: fn(&Flags) -> Result<(), CliError>,
+}
+
+/// The CLI's only flag inventory: one row per subcommand.
+#[rustfmt::skip]
+const COMMANDS: &[Command] = &[
+    Command { name: "machines", run: cmd_machines, flags: &[] },
+    Command { name: "run", run: cmd_run, flags: &[
+        ("dims", Required("KxNxM")), ("threads", Value("D,C")), ("buffer", Value("B")),
+        ("inverse", Switch), ("adapt", Switch), ("seed", Value("S")), ("verify", Switch),
+        ("recover", Switch), ("machine", Value("NAME")), ("inject-panic", Value("ROLE,T,I")),
+        ("integrity", Switch), ("timeout-ms", Value("N")), ("profile", Glued("json")),
+    ]},
+    Command { name: "r2c", run: cmd_r2c, flags: &[
+        ("dims", Required("KxNxM")), ("threads", Value("D,C")), ("buffer", Value("B")),
+        ("adapt", Switch), ("seed", Value("S")), ("verify", Switch), ("recover", Switch),
+        ("inject-panic", Value("ROLE,T,I")), ("integrity", Switch), ("timeout-ms", Value("N")),
+    ]},
+    Command { name: "conv", run: cmd_conv, flags: &[
+        ("dims", Required("KxNxM")), ("threads", Value("D,C")), ("buffer", Value("B")),
+        ("adapt", Switch), ("seed", Value("S")), ("impulse", Switch), ("verify", Switch),
+        ("recover", Switch), ("inject-panic", Value("ROLE,T,I")), ("integrity", Switch),
+        ("timeout-ms", Value("N")),
+    ]},
+    Command { name: "simulate", run: cmd_simulate, flags: &[
+        ("dims", Required("KxNxM")), ("machine", Required("NAME")), ("sockets", Value("S")),
+        ("baselines", Switch),
+    ]},
+    Command { name: "stream", run: cmd_stream, flags: &[
+        ("machine", Required("NAME")),
+    ]},
+    Command { name: "tune", run: cmd_tune, flags: &[
+        ("dims", Required("KxNxM")), ("inverse", Switch), ("model-only", Switch),
+        ("plan-stats", Switch), ("wisdom", Value("PATH")), ("profile", Glued("json")),
+    ]},
+    Command { name: "bench", run: cmd_bench, flags: &[
+        ("suite", Value("smoke|fast|full|serve")), ("reps", Value("N")), ("warmup", Value("N")),
+        ("seed", Value("S")), ("machine", Value("NAME")), ("out", Value("PATH")),
+        ("derate", Value("F")), ("integrity", Switch), ("baseline-out", Value("PATH")),
+        ("compare", Value("BASELINE")), ("current", Value("PATH")), ("threshold", Value("PCT")),
+        ("metrics-overhead", Switch),
+        // The serve suite's open-loop load generator.
+        ("requests", Value("N")), ("workers", Value("W")), ("arrival-us", Value("N")),
+        ("dims", Value("KxNxM")), ("buffer", Value("B")), ("threads", Value("D,C")),
+        ("queue-depth", Value("Q")), ("byte-budget", Value("BYTES")),
+        ("deadline-ms", Value("N")),
+    ]},
+    Command { name: "soak", run: cmd_soak, flags: &[
+        ("iters", Value("N")), ("seed", Value("S")), ("stall-ms", Value("N")),
+        ("serve", Switch), ("serve-iters", Value("N")), ("ooc-kill", Switch),
+        ("ooc-dir", Value("PATH")),
+    ]},
+    Command { name: "serve", run: cmd_serve, flags: &[
+        ("requests", Value("N")), ("dims", Value("KxNxM")), ("buffer", Value("B")),
+        ("threads", Value("D,C")), ("workers", Value("W")), ("queue-depth", Value("Q")),
+        ("byte-budget", Value("BYTES")), ("deadline-ms", Value("N")),
+        ("arrival-us", Value("N")), ("seed", Value("S")), ("metrics", Glued("json|prom")),
+        ("metrics-every-ms", Value("N")),
+    ]},
+    Command { name: "stat", run: cmd_stat, flags: &[
+        ("from", Required("A.json")), ("to", Required("B.json")),
+    ]},
+    Command { name: "ooc", run: cmd_ooc, flags: &[
+        ("n", Required("N")), ("budget", Value("BYTES")), ("bins", Value("K")),
+        ("seed", Value("S")), ("inverse", Switch), ("threads", Value("D,C")),
+        ("inject-io-fault", Value("KIND,STAGE,ITER")), ("workspace", Value("PATH")),
+        ("resume", Switch), ("keep-workspace", Switch),
+        ("resume-verify", Value("sample:K|all")), ("crash-at", Value("STAGE,BLOCK")),
+    ]},
+    Command { name: "workspace gc", run: cmd_workspace_gc, flags: &[
+        ("dir", Required("PATH")), ("older-than-secs", Value("N")),
+    ]},
+];
+
+/// The usage text, rendered from [`COMMANDS`] and wrapped at 80
+/// columns.
+fn usage_text() -> String {
+    let mut out = String::from("usage:");
+    for cmd in COMMANDS {
+        let head = format!("  bwfft-cli {}", cmd.name);
+        out.push('\n');
+        out.push_str(&head);
+        let mut col = head.len();
+        for &(name, arg) in cmd.flags {
+            let word = match arg {
+                Switch => format!("[--{name}]"),
+                Value(meta) => format!("[--{name} {meta}]"),
+                Required(meta) => format!("--{name} {meta}"),
+                Glued(values) => format!("[--{name}[={values}]]"),
+            };
+            if col + 1 + word.len() > 80 {
+                out.push('\n');
+                out.push_str(&" ".repeat(head.len()));
+                col = head.len();
+            }
+            out.push(' ');
+            out.push_str(&word);
+            col += 1 + word.len();
+        }
+    }
+    out.push_str("\nmachines: kabylake | haswell4770 | amdfx | haswell2667 | opteron6276");
+    out
+}
 
 fn run(args: &[String]) -> Result<(), CliError> {
-    let Some(cmd) = args.first() else {
-        return Err(usage("missing command"));
+    let (name, rest) = match args.first().map(String::as_str) {
+        None => return Err(usage("missing command")),
+        // `workspace` takes a positional subaction before its flags.
+        Some("workspace") => match args.get(1).map(String::as_str) {
+            Some("gc") => ("workspace gc", &args[2..]),
+            _ => return Err(usage("workspace takes the `gc` subaction")),
+        },
+        Some(name) => (name, &args[1..]),
     };
-    // `workspace` takes a positional subaction before its flags.
-    if cmd == "workspace" {
-        return match args.get(1).map(String::as_str) {
-            Some("gc") => {
-                let opts = parse_flags(&args[2..]).map_err(usage)?;
-                cmd_workspace_gc(&opts)
-            }
-            _ => Err(usage(
-                "workspace takes the `gc` subaction: workspace gc --dir PATH [--older-than-secs N]",
-            )),
-        };
+    let opts = parse_flags(name, rest)?;
+    (opts.cmd.run)(&opts)
+}
+
+/// One subcommand's parsed flags: each given flag's value, empty for a
+/// switch.
+struct Flags {
+    cmd: &'static Command,
+    values: HashMap<&'static str, String>,
+}
+
+impl Flags {
+    /// The raw value of `--name`, `None` when it was not given.
+    fn raw(&self, name: &str) -> Option<&str> {
+        debug_assert!(
+            self.cmd.flags.iter().any(|&(n, _)| n == name),
+            "`{}` reads --{name}, which its row in COMMANDS does not list",
+            self.cmd.name
+        );
+        self.values.get(name).map(String::as_str)
     }
-    let opts = parse_flags(&args[1..]).map_err(usage)?;
-    match cmd.as_str() {
-        "machines" => {
-            for spec in presets::all() {
-                println!(
-                    "{:<36} {} sockets, {} threads, {} MB LLC, {} GB/s STREAM",
-                    spec.name,
-                    spec.sockets,
-                    spec.total_threads(),
-                    spec.llc().size_bytes >> 20,
-                    spec.total_dram_bw_gbs()
-                );
-            }
-            Ok(())
-        }
-        "run" => cmd_run(&opts),
-        "simulate" => cmd_simulate(&opts),
-        "tune" => cmd_tune(&opts),
-        "bench" => cmd_bench(&opts),
-        "soak" => cmd_soak(&opts),
-        "serve" => cmd_serve(&opts),
-        "stat" => cmd_stat(&opts),
-        "ooc" => cmd_ooc(&opts),
-        "r2c" => cmd_r2c(&opts),
-        "conv" => cmd_conv(&opts),
-        "stream" => {
-            let spec = machine_by_name(opts.get("machine").ok_or_else(|| usage("--machine required"))?)
-                .map_err(usage)?;
-            let r = stream_triad(&spec, 1 << 24);
-            println!(
-                "{}: triad {:.1} GB/s ({:.1} per socket)",
-                spec.name, r.triad_gbs, r.per_socket_gbs
-            );
-            Ok(())
-        }
-        other => Err(usage(format!("unknown command `{other}`"))),
+
+    /// True when the switch `--name` was given.
+    fn has(&self, name: &str) -> bool {
+        self.raw(name).is_some()
+    }
+
+    /// `--name` read through `parse`; a value it refuses is a usage
+    /// error carrying its message.
+    fn get_with<T>(
+        &self,
+        name: &str,
+        parse: impl FnOnce(&str) -> Result<T, String>,
+    ) -> Result<Option<T>, CliError> {
+        self.raw(name).map(parse).transpose().map_err(usage)
+    }
+
+    /// `--name` as a `T`; a value that does not parse is the usage
+    /// error `bad --name`.
+    fn get<T: FromStr>(&self, name: &str) -> Result<Option<T>, CliError> {
+        self.get_with(name, |s| s.parse().map_err(|_| format!("bad --{name}")))
+    }
+
+    /// [`get_with`](Self::get_with) for a flag its row marks
+    /// [`Required`], which the parser has checked is present.
+    fn need_with<T>(
+        &self,
+        name: &str,
+        parse: impl FnOnce(&str) -> Result<T, String>,
+    ) -> Result<T, CliError> {
+        self.get_with(name, parse)?
+            .ok_or_else(|| usage(format!("--{name} required")))
+    }
+
+    /// [`get`](Self::get) for a [`Required`] flag.
+    fn need<T: FromStr>(&self, name: &str) -> Result<T, CliError> {
+        self.get(name)?
+            .ok_or_else(|| usage(format!("--{name} required")))
     }
 }
 
-/// How `--metrics[=json|prom]` was requested: `None` = off,
-/// `Some(false)` = Prometheus text (the bare default), `Some(true)` =
-/// one-line `bwfft-metrics/1` JSON.
-fn metrics_mode(opts: &HashMap<String, String>) -> Result<Option<bool>, CliError> {
-    match opts.get("metrics").map(String::as_str) {
-        None => Ok(None),
-        Some("" | "prom") => Ok(Some(false)),
-        Some("json") => Ok(Some(true)),
-        Some(other) => Err(usage(format!(
-            "bad --metrics format `{other}` (expected `--metrics`, `--metrics=json` or `--metrics=prom`)"
-        ))),
+/// Parses `args` against the row of subcommand `name`: a flag outside
+/// the row, a missing value or a missing required flag is a usage
+/// error.
+fn parse_flags(name: &str, args: &[String]) -> Result<Flags, CliError> {
+    let cmd = COMMANDS
+        .iter()
+        .find(|c| c.name == name)
+        .ok_or_else(|| usage(format!("unknown command `{name}`")))?;
+    let mut values = HashMap::new();
+    let mut words = args.iter();
+    while let Some(word) = words.next() {
+        let Some(flag) = word.strip_prefix("--") else {
+            return Err(usage(format!("unexpected argument `{word}`")));
+        };
+        let (key, glued) = match flag.split_once('=') {
+            Some((key, v)) => (key, Some(v)),
+            None => (flag, None),
+        };
+        let Some(&(key, arg)) = cmd.flags.iter().find(|&&(n, _)| n == key) else {
+            return Err(usage(format!("`{name}` does not take --{key}")));
+        };
+        let value = match (arg, glued) {
+            (Glued(values), v) => match v.unwrap_or("") {
+                v if v.is_empty() || values.split('|').any(|x| x == v) => v.to_string(),
+                v => {
+                    return Err(usage(format!(
+                        "bad --{key} `{v}` (expected --{key}[={values}])"
+                    )))
+                }
+            },
+            (_, Some(_)) => return Err(usage(format!("--{key} does not take `=VALUE`"))),
+            (Switch, None) => String::new(),
+            (Value(_) | Required(_), None) => words
+                .next()
+                .ok_or_else(|| usage(format!("--{key} needs a value")))?
+                .clone(),
+        };
+        values.insert(key, value);
     }
+    for &(key, arg) in cmd.flags {
+        if matches!(arg, Required(_)) && !values.contains_key(key) {
+            return Err(usage(format!("--{key} required")));
+        }
+    }
+    Ok(Flags { cmd, values })
+}
+
+fn cmd_machines(_: &Flags) -> Result<(), CliError> {
+    for spec in presets::all() {
+        println!(
+            "{:<36} {} sockets, {} threads, {} MB LLC, {} GB/s STREAM",
+            spec.name,
+            spec.sockets,
+            spec.total_threads(),
+            spec.llc().size_bytes >> 20,
+            spec.total_dram_bw_gbs()
+        );
+    }
+    Ok(())
+}
+
+fn cmd_stream(opts: &Flags) -> Result<(), CliError> {
+    let spec = opts.need_with("machine", machine_by_name)?;
+    let r = stream_triad(&spec, 1 << 24);
+    println!(
+        "{}: triad {:.1} GB/s ({:.1} per socket)",
+        spec.name, r.triad_gbs, r.per_socket_gbs
+    );
+    Ok(())
+}
+
+/// How a glued flag (`--profile[=json]`, `--metrics[=json|prom]`) was
+/// given: `None` = off, `Some(true)` = `=json`, `Some(false)` = the
+/// other forms its row accepts (the human report, Prometheus text).
+fn json_mode(opts: &Flags, name: &str) -> Option<bool> {
+    opts.raw(name).map(|v| v == "json")
 }
 
 /// Renders one metrics snapshot in the requested exposition format.
@@ -341,19 +504,6 @@ fn emit_metrics(snap: &MetricsSnapshot, json: bool) {
         println!("{}", snap.to_json());
     } else {
         print!("{}", snap.to_prometheus());
-    }
-}
-
-/// How `--profile[=json]` was requested: `None` = off,
-/// `Some(false)` = human report, `Some(true)` = JSON export.
-fn profile_mode(opts: &HashMap<String, String>) -> Result<Option<bool>, CliError> {
-    match opts.get("profile").map(String::as_str) {
-        None => Ok(None),
-        Some("") => Ok(Some(false)),
-        Some("json") => Ok(Some(true)),
-        Some(other) => Err(usage(format!(
-            "bad --profile format `{other}` (expected `--profile` or `--profile=json`)"
-        ))),
     }
 }
 
@@ -368,30 +518,22 @@ fn emit_profile(report: &bwfft::trace::TraceReport, json: bool) {
     }
 }
 
-fn cmd_run(opts: &HashMap<String, String>) -> Result<(), CliError> {
-    let dims = parse_dims(opts.get("dims").ok_or_else(|| usage("--dims required"))?)
-        .map_err(usage)?;
-    let (p_d, p_c) = opts
-        .get("threads")
-        .map(|s| parse_pair(s))
-        .transpose()
-        .map_err(usage)?
-        .unwrap_or((2, 2));
+fn cmd_run(opts: &Flags) -> Result<(), CliError> {
+    let dims = opts.need_with("dims", parse_dims)?;
+    let (p_d, p_c) = opts.get_with("threads", parse_pair)?.unwrap_or((2, 2));
     let mut builder = FftPlan::builder(dims).threads(p_d, p_c);
-    if let Some(b) = opts.get("buffer") {
-        builder = builder.buffer_elems(b.parse().map_err(|_| usage("bad --buffer"))?);
+    if let Some(b) = opts.get("buffer")? {
+        builder = builder.buffer_elems(b);
     }
-    if opts.contains_key("inverse") {
+    if opts.has("inverse") {
         builder = builder.direction(Direction::Inverse);
     }
-    if opts.contains_key("adapt") {
+    if opts.has("adapt") {
         builder = builder.adapt_to_host();
     }
-    let plan = builder
-        .build()
-        .map_err(|e| CliError::from(BwfftError::from(e)))?;
+    let plan = builder.build()?;
     let mut exec_cfg = exec_cfg_from_opts(opts)?;
-    let profile = profile_mode(opts)?;
+    let profile = json_mode(opts, "profile");
     let collector = profile.map(|_| Arc::new(TraceCollector::new()));
     if let Some(c) = &collector {
         exec_cfg.trace = Some(Arc::clone(c));
@@ -408,24 +550,18 @@ fn cmd_run(opts: &HashMap<String, String>) -> Result<(), CliError> {
     for d in &plan.degradations {
         println!("note: degraded to fused executor: {d}");
     }
-    let seed: u64 = opts
-        .get("seed")
-        .map(|s| s.parse().map_err(|_| usage("bad --seed")))
-        .transpose()?
-        .unwrap_or(42);
+    let seed: u64 = opts.get("seed")?.unwrap_or(42);
     let mut data = AlignedVec::from_slice(&signal::random_complex(total, seed));
     let original = data.clone();
     let mut work = AlignedVec::<Complex64>::zeroed(total);
     let t0 = std::time::Instant::now();
-    let (report, executor_label) = if opts.contains_key("recover") {
+    let (report, executor_label) = if opts.has("recover") {
         // Supervised execution: bounded retry/backoff per tier, then
         // escalation pipelined → fused → reference. The recovery trail
         // is printed here and (with --profile) exported as `recovery`
         // marks.
         let sup = Supervisor::new(RetryPolicy::default());
-        let rep = sup
-            .run(&plan, &mut data, &mut work, &exec_cfg)
-            .map_err(|e| CliError::from(BwfftError::from(e)))?;
+        let rep = sup.run(&plan, &mut data, &mut work, &exec_cfg)?;
         if rep.recovered() {
             println!(
                 "recovered at the {} tier after {} attempt(s):",
@@ -441,8 +577,7 @@ fn cmd_run(opts: &HashMap<String, String>) -> Result<(), CliError> {
         let label = rep.tier.to_string();
         (rep.exec.unwrap_or_default(), label)
     } else {
-        let rep = exec_real::execute_with(&plan, &mut data, &mut work, &exec_cfg)
-            .map_err(|e| CliError::from(BwfftError::from(e)))?;
+        let rep = exec_real::execute_with(&plan, &mut data, &mut work, &exec_cfg)?;
         let label = format!("{:?}", rep.executor).to_lowercase();
         (rep, label)
     };
@@ -464,7 +599,7 @@ fn cmd_run(opts: &HashMap<String, String>) -> Result<(), CliError> {
                 .join(", ")
         );
     }
-    if opts.contains_key("verify") {
+    if opts.has("verify") {
         let mut reference = original.clone();
         match dims {
             Dims::Three { k, n, m } => reference_impl::pencil_fft_3d(
@@ -488,14 +623,19 @@ fn cmd_run(opts: &HashMap<String, String>) -> Result<(), CliError> {
     if let (Some(json), Some(collector)) = (profile, &collector) {
         // The %-of-achievable column needs a bandwidth roofline; use
         // the named preset's STREAM figure, defaulting to Kaby Lake.
-        let spec = match opts.get("machine") {
-            Some(name) => machine_by_name(name).map_err(usage)?,
-            None => presets::kaby_lake_7700k(),
+        let named = opts.get_with("machine", machine_by_name)?;
+        let noted = if named.is_some() {
+            ""
+        } else {
+            " (default; set --machine)"
         };
+        let spec = named.unwrap_or_else(presets::kaby_lake_7700k);
         let bw = spec.total_dram_bw_gbs();
         if !json {
-            let noted = if opts.contains_key("machine") { "" } else { " (default; set --machine)" };
-            println!("achievable bandwidth reference: {bw:.1} GB/s from {}{noted}", spec.name);
+            println!(
+                "achievable bandwidth reference: {bw:.1} GB/s from {}{noted}",
+                spec.name
+            );
         }
         let rep =
             bwfft::core::profile::profile_report(collector, &plan, &executor_label, Some(bw));
@@ -510,26 +650,21 @@ fn cmd_run(opts: &HashMap<String, String>) -> Result<(), CliError> {
 /// the pencil-pencil reference. The contract — every run is either
 /// correct or a typed error, never a wrong answer, never a panic —
 /// failing is exit code 1.
-fn cmd_soak(opts: &HashMap<String, String>) -> Result<(), CliError> {
+fn cmd_soak(opts: &Flags) -> Result<(), CliError> {
     let mut cfg = SoakConfig::default();
-    if let Some(n) = opts.get("iters") {
-        cfg.iters = n.parse().map_err(|_| usage("bad --iters"))?;
-        if cfg.iters == 0 {
-            return Err(usage("--iters must be at least 1"));
-        }
+    cfg.iters = opts.get("iters")?.unwrap_or(cfg.iters);
+    if cfg.iters == 0 {
+        return Err(usage("--iters must be at least 1"));
     }
-    if let Some(s) = opts.get("seed") {
-        cfg.seed = s.parse().map_err(|_| usage("bad --seed"))?;
-    }
-    if let Some(ms) = opts.get("stall-ms") {
-        let ms: u64 = ms.parse().map_err(|_| usage("bad --stall-ms"))?;
-        cfg.stall = std::time::Duration::from_millis(ms);
-    }
+    cfg.seed = opts.get("seed")?.unwrap_or(cfg.seed);
+    cfg.stall = opts
+        .get("stall-ms")?
+        .map_or(cfg.stall, std::time::Duration::from_millis);
     println!(
         "soak: {} iteration(s), seed {:#x}, full fault matrix, integrity guards on",
         cfg.iters, cfg.seed
     );
-    let report = run_soak(&cfg).map_err(CliError::from)?;
+    let report = run_soak(&cfg)?;
     println!("{}", report.render());
     if !report.holds() {
         return Err(CliError::Runtime(format!(
@@ -538,25 +673,23 @@ fn cmd_soak(opts: &HashMap<String, String>) -> Result<(), CliError> {
         )));
     }
     println!("soak contract holds: never wrong, never a panic");
-    if opts.contains_key("serve") {
+    if opts.has("serve") {
         // The concurrent overload matrix: burst arrivals, oversized
         // requests, injected faults mid-flight, shutdown races.
         let mut scfg = ServeSoakConfig {
             seed: cfg.seed,
             ..ServeSoakConfig::default()
         };
-        if let Some(n) = opts.get("serve-iters") {
-            scfg.iters = n.parse().map_err(|_| usage("bad --serve-iters"))?;
-            if scfg.iters == 0 {
-                return Err(usage("--serve-iters must be at least 1"));
-            }
+        scfg.iters = opts.get("serve-iters")?.unwrap_or(scfg.iters);
+        if scfg.iters == 0 {
+            return Err(usage("--serve-iters must be at least 1"));
         }
         println!(
             "serve soak: {} lifecycle(s), seed {:#x}, overload matrix \
              (burst / oversized / faults / shutdown races)",
             scfg.iters, scfg.seed
         );
-        let sreport = run_serve_soak(&scfg).map_err(CliError::from)?;
+        let sreport = run_serve_soak(&scfg)?;
         println!("{}", sreport.render());
         if !sreport.holds() {
             return Err(CliError::Runtime(format!(
@@ -567,16 +700,14 @@ fn cmd_soak(opts: &HashMap<String, String>) -> Result<(), CliError> {
         }
         println!("serve soak contract holds: one typed outcome per request, never wrong");
     }
-    if opts.contains_key("ooc-kill") {
+    if opts.has("ooc-kill") {
         // The kill/restart drill: real child processes aborted
         // mid-stage, journals torn, scratch bit-flipped, then resumed.
         let mut kcfg = OocKillSoakConfig {
             seed: cfg.seed,
             ..OocKillSoakConfig::default()
         };
-        if let Some(d) = opts.get("ooc-dir") {
-            kcfg.parent = Some(PathBuf::from(d));
-        }
+        kcfg.parent = opts.get("ooc-dir")?;
         println!(
             "ooc kill soak: {} kill/resume cycle(s), seed {:#x}, n = {}, \
              budget {} B (tamper matrix: torn tail / garbage tail / scratch flip)",
@@ -601,48 +732,34 @@ fn cmd_soak(opts: &HashMap<String, String>) -> Result<(), CliError> {
 
 /// Builds the open-loop driver config from `serve` / `bench --suite
 /// serve` flags.
-fn serve_bench_config(opts: &HashMap<String, String>) -> Result<ServeBenchConfig, CliError> {
-    let mut cfg = ServeBenchConfig::default();
-    if let Some(d) = opts.get("dims") {
-        cfg.dims = parse_dims(d).map_err(usage)?;
-    }
-    if let Some(b) = opts.get("buffer") {
-        cfg.buffer_elems = b.parse().map_err(|_| usage("bad --buffer"))?;
-    }
-    if let Some(t) = opts.get("threads") {
-        cfg.threads = parse_pair(t).map_err(usage)?;
-    }
-    if let Some(n) = opts.get("requests") {
-        cfg.requests = n.parse().map_err(|_| usage("bad --requests"))?;
-        if cfg.requests == 0 {
-            return Err(usage("--requests must be at least 1"));
+fn serve_bench_config(opts: &Flags) -> Result<ServeBenchConfig, CliError> {
+    let d = ServeBenchConfig::default();
+    let cfg = ServeBenchConfig {
+        dims: opts.get_with("dims", parse_dims)?.unwrap_or(d.dims),
+        buffer_elems: opts.get("buffer")?.unwrap_or(d.buffer_elems),
+        threads: opts.get_with("threads", parse_pair)?.unwrap_or(d.threads),
+        requests: opts.get("requests")?.unwrap_or(d.requests),
+        workers: opts.get("workers")?.unwrap_or(d.workers),
+        queue_capacity: opts.get("queue-depth")?.unwrap_or(d.queue_capacity),
+        byte_budget: opts.get("byte-budget")?.or(d.byte_budget),
+        deadline: opts
+            .get("deadline-ms")?
+            .map(std::time::Duration::from_millis)
+            .or(d.deadline),
+        arrival: opts
+            .get("arrival-us")?
+            .map_or(d.arrival, std::time::Duration::from_micros),
+        seed: opts.get("seed")?.unwrap_or(d.seed),
+        ..d
+    };
+    for (flag, n) in [
+        ("requests", cfg.requests),
+        ("workers", cfg.workers),
+        ("queue-depth", cfg.queue_capacity),
+    ] {
+        if n == 0 {
+            return Err(usage(format!("--{flag} must be at least 1")));
         }
-    }
-    if let Some(w) = opts.get("workers") {
-        cfg.workers = w.parse().map_err(|_| usage("bad --workers"))?;
-        if cfg.workers == 0 {
-            return Err(usage("--workers must be at least 1"));
-        }
-    }
-    if let Some(q) = opts.get("queue-depth") {
-        cfg.queue_capacity = q.parse().map_err(|_| usage("bad --queue-depth"))?;
-        if cfg.queue_capacity == 0 {
-            return Err(usage("--queue-depth must be at least 1"));
-        }
-    }
-    if let Some(b) = opts.get("byte-budget") {
-        cfg.byte_budget = Some(b.parse().map_err(|_| usage("bad --byte-budget"))?);
-    }
-    if let Some(ms) = opts.get("deadline-ms") {
-        let ms: u64 = ms.parse().map_err(|_| usage("bad --deadline-ms"))?;
-        cfg.deadline = Some(std::time::Duration::from_millis(ms));
-    }
-    if let Some(us) = opts.get("arrival-us") {
-        let us: u64 = us.parse().map_err(|_| usage("bad --arrival-us"))?;
-        cfg.arrival = std::time::Duration::from_micros(us);
-    }
-    if let Some(s) = opts.get("seed") {
-        cfg.seed = s.parse().map_err(|_| usage("bad --seed"))?;
     }
     Ok(cfg)
 }
@@ -653,13 +770,10 @@ fn serve_bench_config(opts: &HashMap<String, String>) -> Result<ServeBenchConfig
 /// when requests were shed or timed out (that is the service working
 /// as specified); `Failed` outcomes or unbalanced accounting are
 /// exit 1.
-fn cmd_serve(opts: &HashMap<String, String>) -> Result<(), CliError> {
+fn cmd_serve(opts: &Flags) -> Result<(), CliError> {
     let mut cfg = serve_bench_config(opts)?;
-    let metrics_json = metrics_mode(opts)?;
-    let every_ms: Option<u64> = opts
-        .get("metrics-every-ms")
-        .map(|s| s.parse().map_err(|_| usage("bad --metrics-every-ms")))
-        .transpose()?;
+    let metrics_json = json_mode(opts, "metrics");
+    let every_ms: Option<u64> = opts.get("metrics-every-ms")?;
     if every_ms == Some(0) {
         return Err(usage("--metrics-every-ms must be at least 1"));
     }
@@ -803,9 +917,9 @@ fn cmd_serve(opts: &HashMap<String, String>) -> Result<(), CliError> {
 /// whole `serve --metrics=json` transcript — the last parseable line
 /// wins) and pretty-prints the window as rates and interval
 /// percentiles.
-fn cmd_stat(opts: &HashMap<String, String>) -> Result<(), CliError> {
-    let from = load_metrics_snapshot(opts.get("from").ok_or_else(|| usage("--from required"))?)?;
-    let to = load_metrics_snapshot(opts.get("to").ok_or_else(|| usage("--to required"))?)?;
+fn cmd_stat(opts: &Flags) -> Result<(), CliError> {
+    let from = load_metrics_snapshot(&opts.need::<String>("from")?)?;
+    let to = load_metrics_snapshot(&opts.need::<String>("to")?)?;
     let d = to.diff(&from);
     let secs = d.uptime_ns as f64 / 1e9;
     println!("window: {:.3} s", secs);
@@ -873,61 +987,42 @@ fn load_metrics_snapshot(path: &str) -> Result<MetricsSnapshot, CliError> {
 /// the sampled spot-check + streamed-Parseval oracle. Typed failures
 /// (infeasible budget, exhausted stage ladder, oracle mismatch) are
 /// exit 1; malformed flags are exit 2.
-fn cmd_ooc(opts: &HashMap<String, String>) -> Result<(), CliError> {
-    let n: usize = opts
-        .get("n")
-        .ok_or_else(|| usage("--n required"))?
-        .parse()
-        .map_err(|_| usage("bad --n"))?;
+fn cmd_ooc(opts: &Flags) -> Result<(), CliError> {
+    let n: usize = opts.need("n")?;
     let mut cfg = OocConfig::default();
-    if opts.contains_key("inverse") {
+    if opts.has("inverse") {
         cfg.dir = Direction::Inverse;
     }
-    if let Some(b) = opts.get("budget") {
-        cfg.budget_bytes = b.parse().map_err(|_| usage("bad --budget"))?;
-        if cfg.budget_bytes == 0 {
-            return Err(usage("--budget must be at least 1 byte"));
-        }
+    cfg.budget_bytes = opts.get("budget")?.unwrap_or(cfg.budget_bytes);
+    if cfg.budget_bytes == 0 {
+        return Err(usage("--budget must be at least 1 byte"));
     }
-    if let Some(t) = opts.get("threads") {
-        let (p_d, p_c) = parse_pair(t).map_err(usage)?;
+    if let Some((p_d, p_c)) = opts.get_with("threads", parse_pair)? {
         if p_d == 0 || p_c == 0 {
             return Err(usage("--threads counts must be at least 1"));
         }
         cfg.p_d = p_d;
         cfg.p_c = p_c;
     }
-    if let Some(spec) = opts.get("inject-io-fault") {
-        cfg.fault = Some(parse_io_fault(spec).map_err(usage)?);
-    }
-    let workspace = opts.get("workspace").map(PathBuf::from);
-    let resume = opts.contains_key("resume");
-    let keep = opts.contains_key("keep-workspace");
-    if workspace.is_none()
-        && (resume || keep || opts.contains_key("resume-verify") || opts.contains_key("crash-at"))
+    cfg.fault = opts.get_with("inject-io-fault", parse_io_fault)?;
+    let workspace: Option<PathBuf> = opts.get("workspace")?;
+    let resume = opts.has("resume");
+    let keep = opts.has("keep-workspace");
+    if workspace.is_none() && (resume || keep || opts.has("resume-verify") || opts.has("crash-at"))
     {
         return Err(usage(
             "--resume/--keep-workspace/--resume-verify/--crash-at require --workspace PATH",
         ));
     }
-    if let Some(v) = opts.get("resume-verify") {
-        cfg.checkpoint.resume_verify = parse_resume_verify(v).map_err(usage)?;
-    }
-    if let Some(spec) = opts.get("crash-at") {
-        cfg.checkpoint.crash = Some(parse_crash_point(spec).map_err(usage)?);
-    }
+    let verify = opts.get_with("resume-verify", parse_resume_verify)?;
+    cfg.checkpoint.resume_verify = verify.unwrap_or(cfg.checkpoint.resume_verify);
+    cfg.checkpoint.crash = opts.get_with("crash-at", parse_crash_point)?;
     let mut oracle_cfg = OracleConfig::default();
-    if let Some(k) = opts.get("bins") {
-        oracle_cfg.bins = k.parse().map_err(|_| usage("bad --bins"))?;
-        if oracle_cfg.bins == 0 {
-            return Err(usage("--bins must be at least 1"));
-        }
+    oracle_cfg.bins = opts.get("bins")?.unwrap_or(oracle_cfg.bins);
+    if oracle_cfg.bins == 0 {
+        return Err(usage("--bins must be at least 1"));
     }
-    let seed: u64 = opts
-        .get("seed")
-        .map(|s| s.parse().map_err(|_| usage("bad --seed")))
-        .transpose()?
-        .unwrap_or(42);
+    let seed: u64 = opts.get("seed")?.unwrap_or(42);
     println!(
         "ooc: n = {n} ({} {:?}), budget {} B, {}+{} threads, oracle {} bin(s), seed {seed}{}",
         fmt_bytes(n as u64 * 16),
@@ -1005,23 +1100,20 @@ fn cmd_ooc(opts: &HashMap<String, String>) -> Result<(), CliError> {
 
 /// Fault-tolerance knobs shared by `run`, `r2c` and `conv`:
 /// `--inject-panic`, `--integrity`, and the watchdog.
-fn exec_cfg_from_opts(opts: &HashMap<String, String>) -> Result<bwfft::core::ExecConfig, CliError> {
+fn exec_cfg_from_opts(opts: &Flags) -> Result<bwfft::core::ExecConfig, CliError> {
     let mut exec_cfg = bwfft::core::ExecConfig::default();
-    if let Some(spec) = opts.get("inject-panic") {
-        exec_cfg.fault = Some(parse_fault(spec).map_err(usage)?);
+    if let Some(fault) = opts.get_with("inject-panic", parse_fault)? {
+        exec_cfg.fault = Some(fault);
         bwfft::pipeline::fault::silence_injected_panic_reports();
     }
-    if opts.contains_key("integrity") {
+    if opts.has("integrity") {
         // Arm every guard: buffer canaries and per-block checksums in
         // the pipeline, plus the whole-run Parseval check.
         exec_cfg.integrity = IntegrityConfig::full();
         exec_cfg.verify_energy = true;
     }
-    exec_cfg.adaptive_watchdog = Some(match opts.get("timeout-ms") {
-        Some(ms) => {
-            let ms: u64 = ms.parse().map_err(|_| usage("bad --timeout-ms"))?;
-            AdaptiveWatchdog::fixed(std::time::Duration::from_millis(ms))
-        }
+    exec_cfg.adaptive_watchdog = Some(match opts.get("timeout-ms")? {
+        Some(ms) => AdaptiveWatchdog::fixed(std::time::Duration::from_millis(ms)),
         // No explicit budget: size stall budgets from measured step
         // times instead of a guess. The raised floor tolerates
         // scheduler hiccups on busy hosts.
@@ -1034,25 +1126,17 @@ fn exec_cfg_from_opts(opts: &HashMap<String, String>) -> Result<bwfft::core::Exe
 }
 
 /// Builds the real-transform plan the `r2c`/`conv` subcommands share.
-fn real_plan_from_opts(opts: &HashMap<String, String>) -> Result<RealFftPlan, CliError> {
-    let dims = parse_dims(opts.get("dims").ok_or_else(|| usage("--dims required"))?)
-        .map_err(usage)?;
-    let (p_d, p_c) = opts
-        .get("threads")
-        .map(|s| parse_pair(s))
-        .transpose()
-        .map_err(usage)?
-        .unwrap_or((2, 2));
+fn real_plan_from_opts(opts: &Flags) -> Result<RealFftPlan, CliError> {
+    let dims = opts.need_with("dims", parse_dims)?;
+    let (p_d, p_c) = opts.get_with("threads", parse_pair)?.unwrap_or((2, 2));
     let mut builder = RealFftPlan::builder(dims).threads(p_d, p_c);
-    if let Some(b) = opts.get("buffer") {
-        builder = builder.buffer_elems(b.parse().map_err(|_| usage("bad --buffer"))?);
+    if let Some(b) = opts.get("buffer")? {
+        builder = builder.buffer_elems(b);
     }
-    if opts.contains_key("adapt") {
+    if opts.has("adapt") {
         builder = builder.adapt_to_host();
     }
-    builder
-        .build()
-        .map_err(|e| CliError::from(BwfftError::from(e)))
+    Ok(builder.build()?)
 }
 
 fn random_real_field(n: usize, seed: u64) -> Vec<f64> {
@@ -1080,14 +1164,10 @@ fn print_recovery(rep: &bwfft::core::SupervisedReport, leg: &str) {
 /// and with `--verify` also matches the spectrum against the reference
 /// tier bin by bin. The bytes summary states the real-path win over
 /// the complex path for the same logical transform.
-fn cmd_r2c(opts: &HashMap<String, String>) -> Result<(), CliError> {
+fn cmd_r2c(opts: &Flags) -> Result<(), CliError> {
     let plan = real_plan_from_opts(opts)?;
     let exec_cfg = exec_cfg_from_opts(opts)?;
-    let seed: u64 = opts
-        .get("seed")
-        .map(|s| s.parse().map_err(|_| usage("bad --seed")))
-        .transpose()?
-        .unwrap_or(42);
+    let seed: u64 = opts.get("seed")?.unwrap_or(42);
     let n = plan.real_elems();
     // Complex path for the same logical transform: N complex in + N
     // complex out. Real path: N doubles in, N/2+rows packed bins out.
@@ -1107,16 +1187,16 @@ fn cmd_r2c(opts: &HashMap<String, String>) -> Result<(), CliError> {
     let mut work = vec![Complex64::ZERO; plan.packed_elems()];
     let mut spec = vec![Complex64::ZERO; plan.spectrum_elems()];
     let t0 = std::time::Instant::now();
-    if opts.contains_key("recover") {
+    if opts.has("recover") {
         let sup = Supervisor::new(RetryPolicy::default());
-        let rep = sup_err(plan.r2c(&x, &mut spec, exec_cfg.verify_energy, |p, z| {
+        let rep = plan.r2c(&x, &mut spec, exec_cfg.verify_energy, |p, z| {
             sup.run(p, z, &mut work, &exec_cfg)
-        }))?;
+        })?;
         print_recovery(&rep, "r2c");
     } else {
-        sup_err(plan.r2c(&x, &mut spec, exec_cfg.verify_energy, |p, z| {
+        plan.r2c(&x, &mut spec, exec_cfg.verify_energy, |p, z| {
             exec_real::execute_with(p, z, &mut work, &exec_cfg)
-        }))?;
+        })?;
     }
     let dt = t0.elapsed();
     println!("forward r2c done in {dt:.2?}");
@@ -1132,9 +1212,9 @@ fn cmd_r2c(opts: &HashMap<String, String>) -> Result<(), CliError> {
 
     // Round trip: c2r(r2c(x)) must be N·x.
     let mut back = vec![0.0; n];
-    sup_err(plan.c2r(&spec, &mut back, false, |p, z| {
+    plan.c2r(&spec, &mut back, false, |p, z| {
         exec_real::execute(p, z, &mut work)
-    }))?;
+    })?;
     bwfft::real::normalize(&mut back);
     let roundtrip_err = back
         .iter()
@@ -1146,9 +1226,9 @@ fn cmd_r2c(opts: &HashMap<String, String>) -> Result<(), CliError> {
         return Err(CliError::Runtime("c2r round-trip FAILED".into()));
     }
 
-    if opts.contains_key("verify") {
+    if opts.has("verify") {
         let mut want = vec![Complex64::ZERO; plan.spectrum_elems()];
-        sup_err(plan.r2c(&x, &mut want, false, execute_reference))?;
+        plan.r2c(&x, &mut want, false, execute_reference)?;
         let scale = want.iter().map(|v| v.abs()).fold(1.0, f64::max);
         let max_err = spec
             .iter()
@@ -1171,16 +1251,12 @@ fn cmd_r2c(opts: &HashMap<String, String>) -> Result<(), CliError> {
 /// circular convolution must reproduce the input exactly. `--verify`
 /// compares against the unfused reference-tier pipeline (and on sizes
 /// ≤ 4096 elements also the direct O(n²) oracle).
-fn cmd_conv(opts: &HashMap<String, String>) -> Result<(), CliError> {
+fn cmd_conv(opts: &Flags) -> Result<(), CliError> {
     let plan = real_plan_from_opts(opts)?;
     let exec_cfg = exec_cfg_from_opts(opts)?;
-    let seed: u64 = opts
-        .get("seed")
-        .map(|s| s.parse().map_err(|_| usage("bad --seed")))
-        .transpose()?
-        .unwrap_or(42);
+    let seed: u64 = opts.get("seed")?.unwrap_or(42);
     let n = plan.real_elems();
-    let impulse = opts.contains_key("impulse");
+    let impulse = opts.has("impulse");
     let kernel: Vec<f64> = if impulse {
         let mut g = vec![0.0; n];
         g[0] = 1.0;
@@ -1200,22 +1276,21 @@ fn cmd_conv(opts: &HashMap<String, String>) -> Result<(), CliError> {
         if impulse { "impulse" } else { "random" },
         plan.spectrum_elems()
     );
-    let conv = SpectralConvPlan::new(plan, &kernel)
-        .map_err(|e| CliError::from(BwfftError::from(e)))?;
+    let conv = SpectralConvPlan::new(plan, &kernel)?;
     let x = random_real_field(n, seed);
     let mut got = x.clone();
     let mut work = vec![Complex64::ZERO; conv.plan().packed_elems()];
     let t0 = std::time::Instant::now();
-    if opts.contains_key("recover") {
+    if opts.has("recover") {
         let sup = Supervisor::new(RetryPolicy::default());
         let (forward, inverse) =
-            sup_err(conv.convolve(&mut got, |p, z| sup.run(p, z, &mut work, &exec_cfg)))?;
+            conv.convolve(&mut got, |p, z| sup.run(p, z, &mut work, &exec_cfg))?;
         print_recovery(&forward, "forward leg");
         print_recovery(&inverse, "inverse leg");
     } else {
-        sup_err(conv.convolve(&mut got, |p, z| {
+        conv.convolve(&mut got, |p, z| {
             exec_real::execute_with(p, z, &mut work, &exec_cfg)
-        }))?;
+        })?;
     }
     let dt = t0.elapsed();
     println!("fused convolution done in {dt:.2?}");
@@ -1232,19 +1307,19 @@ fn cmd_conv(opts: &HashMap<String, String>) -> Result<(), CliError> {
             return Err(CliError::Runtime("impulse identity FAILED".into()));
         }
     }
-    if opts.contains_key("verify") {
+    if opts.has("verify") {
         // Unfused reference pipeline: r2c both operands on the
         // reference tier, multiply the packed spectra, c2r, /N.
         let plan = conv.plan();
         let mut xs = vec![Complex64::ZERO; plan.spectrum_elems()];
         let mut gs = vec![Complex64::ZERO; plan.spectrum_elems()];
-        sup_err(plan.r2c(&x, &mut xs, false, execute_reference))?;
-        sup_err(plan.r2c(&kernel, &mut gs, false, execute_reference))?;
+        plan.r2c(&x, &mut xs, false, execute_reference)?;
+        plan.r2c(&kernel, &mut gs, false, execute_reference)?;
         for (a, b) in xs.iter_mut().zip(&gs) {
             *a *= *b;
         }
         let mut want = vec![0.0; n];
-        sup_err(plan.c2r(&xs, &mut want, false, execute_reference))?;
+        plan.c2r(&xs, &mut want, false, execute_reference)?;
         bwfft::real::normalize(&mut want);
         let scale = want.iter().map(|v| v.abs()).fold(1.0, f64::max);
         let rel_err = got
@@ -1319,11 +1394,6 @@ fn conv_direct_nd(x: &[f64], g: &[f64], dims: Dims) -> Vec<f64> {
     out
 }
 
-/// Maps a core-layer result into the CLI error discipline.
-fn sup_err<T>(r: Result<T, bwfft::core::CoreError>) -> Result<T, CliError> {
-    r.map_err(|e| CliError::from(BwfftError::from(e)))
-}
-
 fn fmt_bytes(b: u64) -> String {
     if b >= 1 << 20 {
         format!("{:.1} MiB", b as f64 / (1u64 << 20) as f64)
@@ -1346,15 +1416,19 @@ fn parse_io_fault(s: &str) -> Result<OocFault, String> {
         "write" => OocFaultKind::Write,
         other => return Err(format!("bad fault kind `{other}` (read|write)")),
     };
-    let stage: usize = stage.parse().map_err(|_| "bad fault stage".to_string())?;
-    if stage >= bwfft::ooc::STAGE_NAMES.len() {
-        return Err(format!(
-            "fault stage {stage} out of range (0..{})",
-            bwfft::ooc::STAGE_NAMES.len() - 1
-        ));
-    }
+    let stage = parse_ooc_stage(stage, "fault")?;
     let iter = iter.parse().map_err(|_| "bad fault iter".to_string())?;
     Ok(OocFault { stage, iter, kind })
+}
+
+/// Parses the ooc stage index of a `what` (`fault`, `crash`) spec.
+fn parse_ooc_stage(s: &str, what: &str) -> Result<usize, String> {
+    let last = bwfft::ooc::STAGE_NAMES.len() - 1;
+    match s.parse() {
+        Ok(stage) if stage <= last => Ok(stage),
+        Ok(stage) => Err(format!("{what} stage {stage} out of range (0..{last})")),
+        Err(_) => Err(format!("bad {what} stage")),
+    }
 }
 
 /// Parses `sample:K` or `all` into a resume re-verification policy.
@@ -1379,13 +1453,7 @@ fn parse_resume_verify(s: &str) -> Result<ResumeVerify, String> {
 /// the CI crash smoke need.
 fn parse_crash_point(s: &str) -> Result<CrashPoint, String> {
     let (stage, block) = s.split_once(',').ok_or("--crash-at needs STAGE,BLOCK")?;
-    let stage: usize = stage.parse().map_err(|_| "bad crash stage".to_string())?;
-    if stage >= bwfft::ooc::STAGE_NAMES.len() {
-        return Err(format!(
-            "crash stage {stage} out of range (0..{})",
-            bwfft::ooc::STAGE_NAMES.len() - 1
-        ));
-    }
+    let stage = parse_ooc_stage(stage, "crash")?;
     let block = block.parse().map_err(|_| "bad crash block".to_string())?;
     Ok(CrashPoint {
         stage,
@@ -1397,13 +1465,9 @@ fn parse_crash_point(s: &str) -> Result<CrashPoint, String> {
 /// `workspace gc`: sweep abandoned `bwfft-ooc-*` scratch directories
 /// under `--dir` whose last write is older than the threshold. Named
 /// checkpoint workspaces (kept on crash for resume) are never touched.
-fn cmd_workspace_gc(opts: &HashMap<String, String>) -> Result<(), CliError> {
-    let dir = PathBuf::from(opts.get("dir").ok_or_else(|| usage("--dir required"))?);
-    let secs: u64 = opts
-        .get("older-than-secs")
-        .map(|s| s.parse().map_err(|_| usage("bad --older-than-secs")))
-        .transpose()?
-        .unwrap_or(24 * 3600);
+fn cmd_workspace_gc(opts: &Flags) -> Result<(), CliError> {
+    let dir: PathBuf = opts.need("dir")?;
+    let secs: u64 = opts.get("older-than-secs")?.unwrap_or(24 * 3600);
     let removed = gc_stale(&dir, std::time::Duration::from_secs(secs))
         .map_err(|e| CliError::Runtime(e.to_string()))?;
     for p in &removed {
@@ -1435,19 +1499,18 @@ fn parse_fault(s: &str) -> Result<FaultPlan, String> {
 
 /// `tune`: search for the best plan for a shape, demonstrate the cache
 /// hit on a repeated request, and optionally persist/reuse wisdom.
-fn cmd_tune(opts: &HashMap<String, String>) -> Result<(), CliError> {
-    let dims = parse_dims(opts.get("dims").ok_or_else(|| usage("--dims required"))?)
-        .map_err(usage)?;
-    let dir = if opts.contains_key("inverse") {
+fn cmd_tune(opts: &Flags) -> Result<(), CliError> {
+    let dims = opts.need_with("dims", parse_dims)?;
+    let dir = if opts.has("inverse") {
         Direction::Inverse
     } else {
         Direction::Forward
     };
-    let profile = profile_mode(opts)?;
+    let profile = json_mode(opts, "profile");
     let collector = profile.map(|_| Arc::new(TraceCollector::new()));
     let fp = HostFingerprint::detect();
     let mut tuner_opts = TunerOptions::for_host(&bwfft::core::HostProfile::detect());
-    if opts.contains_key("model-only") {
+    if opts.has("model-only") {
         tuner_opts.model_only = true;
     }
     if let Some(c) = &collector {
@@ -1455,7 +1518,7 @@ fn cmd_tune(opts: &HashMap<String, String>) -> Result<(), CliError> {
     }
     let cache = PlanCache::new(Tuner::new(tuner_opts), fp.clone());
 
-    let wisdom_path = opts.get("wisdom").map(PathBuf::from);
+    let wisdom_path: Option<PathBuf> = opts.get("wisdom")?;
     if let Some(path) = &wisdom_path {
         // Version/host mismatch and missing files are typed re-tune
         // reasons, not failures; only unreadable/corrupt files warn.
@@ -1479,9 +1542,7 @@ fn cmd_tune(opts: &HashMap<String, String>) -> Result<(), CliError> {
 
     let had_wisdom = cache.contains(dims, dir);
     let t0 = std::time::Instant::now();
-    let _plan = cache
-        .get_or_tune(dims, dir)
-        .map_err(|e| CliError::from(BwfftError::from(e)))?;
+    let _plan = cache.get_or_tune(dims, dir)?;
     if had_wisdom {
         println!("tuning skipped (wisdom hit) for {} {dir:?}", dims.label());
     } else {
@@ -1489,9 +1550,7 @@ fn cmd_tune(opts: &HashMap<String, String>) -> Result<(), CliError> {
     }
     // A second request for the same shape must be served from the
     // cache — this is what `--plan-stats` makes observable.
-    let _again = cache
-        .get_or_tune(dims, dir)
-        .map_err(|e| CliError::from(BwfftError::from(e)))?;
+    let _again = cache.get_or_tune(dims, dir)?;
     if let Some(rec) = cache
         .export_records()
         .into_iter()
@@ -1499,7 +1558,7 @@ fn cmd_tune(opts: &HashMap<String, String>) -> Result<(), CliError> {
     {
         println!("best: {}", rec.describe());
     }
-    if opts.contains_key("plan-stats") {
+    if opts.has("plan-stats") {
         let s = cache.stats();
         println!(
             "plan cache: hits={} misses={} evictions={}",
@@ -1509,7 +1568,7 @@ fn cmd_tune(opts: &HashMap<String, String>) -> Result<(), CliError> {
     if let Some(path) = &wisdom_path {
         let mut w = Wisdom::new(fp);
         w.records = cache.export_records();
-        wisdom::save(path, &w).map_err(|e| CliError::from(BwfftError::from(e)))?;
+        wisdom::save(path, &w)?;
         println!("wisdom: saved {} plan(s) to {}", w.records.len(), path.display());
     }
     if let (Some(json), Some(collector)) = (profile, &collector) {
@@ -1528,25 +1587,17 @@ fn cmd_tune(opts: &HashMap<String, String>) -> Result<(), CliError> {
     Ok(())
 }
 
-fn cmd_simulate(opts: &HashMap<String, String>) -> Result<(), CliError> {
-    let dims = parse_dims(opts.get("dims").ok_or_else(|| usage("--dims required"))?)
-        .map_err(usage)?;
-    let spec = machine_by_name(opts.get("machine").ok_or_else(|| usage("--machine required"))?)
-        .map_err(usage)?;
-    let sockets: usize = opts
-        .get("sockets")
-        .map(|s| s.parse().map_err(|_| usage("bad --sockets")))
-        .transpose()?
-        .unwrap_or(spec.sockets);
+fn cmd_simulate(opts: &Flags) -> Result<(), CliError> {
+    let dims = opts.need_with("dims", parse_dims)?;
+    let spec = opts.need_with("machine", machine_by_name)?;
+    let sockets: usize = opts.get("sockets")?.unwrap_or(spec.sockets);
     let p = spec.total_threads() * sockets / spec.sockets;
     let plan = FftPlan::builder(dims)
         .buffer_elems(spec.default_buffer_elems())
         .threads(p / 2, p - p / 2)
         .sockets(sockets)
-        .build()
-        .map_err(|e| CliError::from(BwfftError::from(e)))?;
-    let r = simulate(&plan, &spec, &SimOptions::default())
-        .map_err(|e| CliError::from(BwfftError::from(e)))?;
+        .build()?;
+    let r = simulate(&plan, &spec, &SimOptions::default())?;
     println!("{}", r.report);
     for s in &r.stages {
         println!(
@@ -1557,7 +1608,7 @@ fn cmd_simulate(opts: &HashMap<String, String>) -> Result<(), CliError> {
             s.link_bytes / 1e9
         );
     }
-    if opts.contains_key("baselines") {
+    if opts.has("baselines") {
         for kind in [BaselineKind::MklLike, BaselineKind::FftwLike, BaselineKind::SlabPencil] {
             let b = simulate_baseline(kind, dims, &spec);
             println!("{b}");
@@ -1570,24 +1621,19 @@ fn cmd_simulate(opts: &HashMap<String, String>) -> Result<(), CliError> {
 /// `BENCH_*.json` record, and optionally gate against a baseline. With
 /// both `--compare` and `--current` nothing is run — the two existing
 /// files are compared directly (the CI gate's replay mode).
-fn cmd_bench(opts: &HashMap<String, String>) -> Result<(), CliError> {
+fn cmd_bench(opts: &Flags) -> Result<(), CliError> {
     let gate = GateConfig {
         threshold_pct: opts
-            .get("threshold")
-            .map(|s| s.parse().map_err(|_| usage("bad --threshold")))
-            .transpose()?
+            .get("threshold")?
             .unwrap_or_else(|| GateConfig::default().threshold_pct),
         ..GateConfig::default()
     };
-    let derate_factor: Option<f64> = opts
-        .get("derate")
-        .map(|s| s.parse().map_err(|_| usage("bad --derate")))
-        .transpose()?;
+    let derate_factor: Option<f64> = opts.get("derate")?;
 
     // Replay mode: compare two existing BENCH files, run nothing.
-    if let Some(cur_path) = opts.get("current") {
+    if let Some(cur_path) = opts.raw("current") {
         let base_path = opts
-            .get("compare")
+            .raw("compare")
             .ok_or_else(|| usage("--current requires --compare BASELINE"))?;
         let base = load_bench(base_path)?;
         let mut cur = load_bench(cur_path)?;
@@ -1599,38 +1645,31 @@ fn cmd_bench(opts: &HashMap<String, String>) -> Result<(), CliError> {
 
     // The service-latency suite routes through the open-loop driver
     // instead of the executor measurement loop.
-    if opts.get("suite").map(String::as_str) == Some("serve") {
+    if opts.raw("suite") == Some("serve") {
         return cmd_bench_serve(opts, &gate, derate_factor);
     }
-    let kind = match opts.get("suite") {
+    let kind = match opts.raw("suite") {
         None => SuiteKind::Smoke,
         Some(s) => SuiteKind::parse(s)
             .ok_or_else(|| usage(format!("unknown --suite `{s}` (smoke|fast|full|serve)")))?,
     };
     let mut mcfg = MeasureConfig::default();
-    if let Some(r) = opts.get("reps") {
-        mcfg.reps = r.parse().map_err(|_| usage("bad --reps"))?;
-        if mcfg.reps == 0 {
-            return Err(usage("--reps must be at least 1"));
-        }
+    mcfg.reps = opts.get("reps")?.unwrap_or(mcfg.reps);
+    if mcfg.reps == 0 {
+        return Err(usage("--reps must be at least 1"));
     }
-    if let Some(w) = opts.get("warmup") {
-        mcfg.warmup = w.parse().map_err(|_| usage("bad --warmup"))?;
-    }
-    if let Some(s) = opts.get("seed") {
-        mcfg.seed = s.parse().map_err(|_| usage("bad --seed"))?;
-    }
-    mcfg.integrity = opts.contains_key("integrity");
-    let baseline_out = opts.get("baseline-out").map(PathBuf::from);
+    mcfg.warmup = opts.get("warmup")?.unwrap_or(mcfg.warmup);
+    mcfg.seed = opts.get("seed")?.unwrap_or(mcfg.seed);
+    mcfg.integrity = opts.has("integrity");
+    let baseline_out: Option<PathBuf> = opts.get("baseline-out")?;
     if baseline_out.is_some() && !mcfg.integrity {
         return Err(usage(
             "--baseline-out requires --integrity (it is the plain side of a paired overhead run)",
         ));
     }
-    let anchor = match opts.get("machine") {
-        Some(name) => machine_by_name(name).map_err(usage)?,
-        None => presets::kaby_lake_7700k(),
-    };
+    let anchor = opts
+        .get_with("machine", machine_by_name)?
+        .unwrap_or_else(presets::kaby_lake_7700k);
     println!(
         "bench: {} suite, {} reps + {} warmup, seed {}, STREAM roofline {:.1} GB/s ({}){}",
         kind.label(),
@@ -1664,13 +1703,12 @@ fn cmd_bench(opts: &HashMap<String, String>) -> Result<(), CliError> {
         derate(&mut report, f);
         println!("note: record derated {f}x (gate self-test)");
     }
-    let out = opts
-        .get("out")
-        .map(PathBuf::from)
+    let out: PathBuf = opts
+        .get("out")?
         .unwrap_or_else(|| PathBuf::from(bench_filename(&report.git_rev)));
     write_file(&out, &report).map_err(|e| CliError::Runtime(e.to_string()))?;
     println!("wrote {} ({} suites, rev {})", out.display(), report.suites.len(), report.git_rev);
-    if let Some(base_path) = opts.get("compare") {
+    if let Some(base_path) = opts.raw("compare") {
         let base = load_bench(base_path)?;
         return finish_compare(&base, &report, &gate);
     }
@@ -1685,13 +1723,13 @@ fn cmd_bench(opts: &HashMap<String, String>) -> Result<(), CliError> {
 /// requests/sec, p50/p99 and the outcome counts, then gates against a
 /// baseline like any other suite (the p99 tail is threshold-gated).
 fn cmd_bench_serve(
-    opts: &HashMap<String, String>,
+    opts: &Flags,
     gate: &GateConfig,
     derate_factor: Option<f64>,
 ) -> Result<(), CliError> {
     let cfg = serve_bench_config(opts)?;
-    let overhead_pair = opts.contains_key("metrics-overhead");
-    let baseline_out = opts.get("baseline-out").map(PathBuf::from);
+    let overhead_pair = opts.has("metrics-overhead");
+    let baseline_out: Option<PathBuf> = opts.get("baseline-out")?;
     if overhead_pair && baseline_out.is_none() {
         return Err(usage(
             "--metrics-overhead requires --baseline-out PATH (the metrics-off half of the pair)",
@@ -1743,9 +1781,8 @@ fn cmd_bench_serve(
             m.failed
         );
     }
-    let out = opts
-        .get("out")
-        .map(PathBuf::from)
+    let out: PathBuf = opts
+        .get("out")?
         .unwrap_or_else(|| PathBuf::from(bench_filename(&report.git_rev)));
     write_file(&out, &report).map_err(|e| CliError::Runtime(e.to_string()))?;
     println!(
@@ -1754,7 +1791,7 @@ fn cmd_bench_serve(
         report.suites.len(),
         report.git_rev
     );
-    if let Some(base_path) = opts.get("compare") {
+    if let Some(base_path) = opts.raw("compare") {
         let base = load_bench(base_path)?;
         return finish_compare(&base, &report, gate);
     }
@@ -1792,109 +1829,6 @@ fn finish_compare(
     } else {
         Err(CliError::Runtime(cmp.failure_summary()))
     }
-}
-
-fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, String> {
-    let mut out = HashMap::new();
-    let mut i = 0;
-    while i < args.len() {
-        let a = &args[i];
-        let Some(name) = a.strip_prefix("--") else {
-            return Err(format!("unexpected argument `{a}`"));
-        };
-        // `--profile` stands alone (human report) or takes a glued
-        // `=FORMAT` value (`--profile=json`); a separate-word value
-        // would be ambiguous with the next flag.
-        if name == "profile" || name.starts_with("profile=") {
-            let val = name.strip_prefix("profile=").unwrap_or("");
-            out.insert("profile".to_string(), val.to_string());
-            i += 1;
-            continue;
-        }
-        // `--metrics` follows the same glued-`=` convention:
-        // standalone (Prometheus text) or `--metrics=json`.
-        if name == "metrics" || name.starts_with("metrics=") {
-            let val = name.strip_prefix("metrics=").unwrap_or("");
-            out.insert("metrics".to_string(), val.to_string());
-            i += 1;
-            continue;
-        }
-        if let Some((key, _)) = name.split_once('=') {
-            return Err(format!("--{key} does not take `=VALUE`"));
-        }
-        // Boolean flags take no value.
-        if matches!(
-            name,
-            "inverse"
-                | "verify"
-                | "baselines"
-                | "adapt"
-                | "model-only"
-                | "plan-stats"
-                | "integrity"
-                | "recover"
-                | "serve"
-                | "impulse"
-                | "metrics-overhead"
-                | "resume"
-                | "keep-workspace"
-                | "ooc-kill"
-        ) {
-            out.insert(name.to_string(), String::new());
-            i += 1;
-        } else if matches!(
-            name,
-            "dims"
-                | "threads"
-                | "buffer"
-                | "machine"
-                | "sockets"
-                | "inject-panic"
-                | "timeout-ms"
-                | "wisdom"
-                | "seed"
-                | "suite"
-                | "reps"
-                | "warmup"
-                | "out"
-                | "baseline-out"
-                | "compare"
-                | "current"
-                | "threshold"
-                | "derate"
-                | "iters"
-                | "stall-ms"
-                | "serve-iters"
-                | "requests"
-                | "workers"
-                | "queue-depth"
-                | "byte-budget"
-                | "deadline-ms"
-                | "arrival-us"
-                | "n"
-                | "budget"
-                | "bins"
-                | "inject-io-fault"
-                | "metrics-every-ms"
-                | "from"
-                | "to"
-                | "workspace"
-                | "resume-verify"
-                | "crash-at"
-                | "dir"
-                | "older-than-secs"
-                | "ooc-dir"
-        ) {
-            let v = args
-                .get(i + 1)
-                .ok_or_else(|| format!("--{name} needs a value"))?;
-            out.insert(name.to_string(), v.clone());
-            i += 2;
-        } else {
-            return Err(format!("unknown flag --{name}"));
-        }
-    }
-    Ok(out)
 }
 
 fn parse_dims(s: &str) -> Result<Dims, String> {
@@ -1946,10 +1880,87 @@ mod tests {
             .iter()
             .map(|s| s.to_string())
             .collect();
-        let f = parse_flags(&args).unwrap();
-        assert_eq!(f.get("dims").unwrap(), "8x8x8");
-        assert!(f.contains_key("verify"));
-        assert_eq!(parse_pair(f.get("threads").unwrap()).unwrap(), (2, 2));
+        let f = parse_flags("run", &args).unwrap();
+        assert_eq!(f.raw("dims"), Some("8x8x8"));
+        assert!(f.has("verify"));
+        assert_eq!(f.get_with("threads", parse_pair).unwrap(), Some((2, 2)));
+    }
+
+    /// A flag that `cmd`'s row does not list but another row does.
+    fn foreign_flag(cmd: &Command) -> &'static str {
+        COMMANDS
+            .iter()
+            .flat_map(|c| c.flags.iter().map(|&(name, _)| name))
+            .find(|name| !cmd.flags.iter().any(|&(n, _)| n == *name))
+            .unwrap()
+    }
+
+    #[test]
+    fn each_subcommand_takes_exactly_its_row() {
+        for cmd in COMMANDS {
+            // Every flag of the row parses, and reads back.
+            let mut args = Vec::new();
+            for &(name, arg) in cmd.flags {
+                args.push(format!("--{name}"));
+                if matches!(arg, Value(_) | Required(_)) {
+                    args.push("v".to_string());
+                }
+            }
+            let f = parse_flags(cmd.name, &args).unwrap();
+            for &(name, arg) in cmd.flags {
+                let want = if matches!(arg, Value(_) | Required(_)) {
+                    "v"
+                } else {
+                    ""
+                };
+                assert_eq!(f.raw(name), Some(want), "{} --{name}", cmd.name);
+            }
+            // A flag from another row is a usage error naming both.
+            let foreign = foreign_flag(cmd);
+            match parse_flags(cmd.name, &[format!("--{foreign}")]) {
+                Err(CliError::Usage(msg)) => {
+                    assert!(msg.contains(&format!("--{foreign}")), "{msg}");
+                    assert!(msg.contains(&format!("`{}`", cmd.name)), "{msg}");
+                }
+                other => panic!(
+                    "{} --{foreign} must be refused, got {:?}",
+                    cmd.name,
+                    other.map(|_| ())
+                ),
+            }
+        }
+        // The flags each command used to drop silently.
+        for (cmd, flag) in [("serve", "inverse"), ("run", "suite"), ("ooc", "profile")] {
+            let args = vec![format!("--{flag}")];
+            match parse_flags(cmd, &args) {
+                Err(CliError::Usage(msg)) => assert!(msg.contains(&format!("--{flag}")), "{msg}"),
+                other => panic!(
+                    "{cmd} --{flag} must be refused, got {:?}",
+                    other.map(|_| ())
+                ),
+            }
+        }
+        let args: Vec<String> = ["serve", "--requests", "1", "--inverse"]
+            .iter()
+            .map(|s| s.to_string())
+            .collect();
+        assert!(matches!(run(&args), Err(CliError::Usage(_))));
+    }
+
+    #[test]
+    fn usage_text_lists_every_row() {
+        let text = usage_text();
+        for cmd in COMMANDS {
+            assert!(
+                text.contains(&format!("bwfft-cli {}", cmd.name)),
+                "{}",
+                cmd.name
+            );
+            for &(name, _) in cmd.flags {
+                assert!(text.contains(&format!("--{name}")), "--{name}");
+            }
+        }
+        assert!(text.lines().all(|l| l.len() <= 80), "{text}");
     }
 
     #[test]
@@ -1997,7 +2008,7 @@ mod tests {
         .collect();
         match run(&args) {
             Err(CliError::Runtime(msg)) => {
-                assert!(msg.contains("panicked at block 1"), "{msg}");
+                assert!(msg.contains("panicked at pipeline iteration 1"), "{msg}");
             }
             other => panic!("expected runtime error, got {other:?}"),
         }
@@ -2005,25 +2016,140 @@ mod tests {
 
     #[test]
     fn exit_code_discipline() {
-        // The doc-comment table, asserted variant by variant: integrity
-        // trips and allocation refusals are runtime faults (exit 1),
-        // never usage errors (exit 2).
-        use bwfft::core::PlanError;
+        // The doc-comment table, asserted variant by variant through
+        // each crate error's own `is_usage()`: caller input is a usage
+        // error (exit 2); integrity trips, allocation refusals,
+        // cancellation, worker faults and simulator failures are
+        // runtime faults (exit 1). The message is the error's Display.
+        use bwfft::machine::EngineError;
         use bwfft::num::AllocError;
-        use bwfft::pipeline::IntegrityKind;
-        let e = CliError::from(BwfftError::Integrity {
+        use bwfft::pipeline::{CancelReason, ConfigError, IntegrityKind, PipelineError};
+        let usage_errors: [CoreError; 4] = [
+            PlanError::NotPow2("n", 12).into(),
+            CoreError::InputLength {
+                what: "data",
+                expected: 8,
+                got: 4,
+            },
+            CoreError::SocketMismatch {
+                plan: 2,
+                machine: 1,
+            },
+            PipelineError::Config(ConfigError::ZeroIters).into(),
+        ];
+        for e in usage_errors {
+            let c = CliError::from(e);
+            assert!(matches!(c, CliError::Usage(_)), "{c:?}");
+        }
+        assert!(matches!(
+            CliError::from(PlanError::NotPow2("n", 12)),
+            CliError::Usage(m) if m.starts_with("plan:")
+        ));
+        let checksum: CoreError = PipelineError::Integrity {
             stage: 1,
-            block: 3,
+            block: 4,
             kind: IntegrityKind::Checksum,
-        });
-        assert!(matches!(e, CliError::Runtime(_)), "{e:?}");
-        let e = CliError::from(BwfftError::Allocation(AllocError {
-            what: "double buffer",
-            bytes: 1 << 40,
-        }));
-        assert!(matches!(e, CliError::Runtime(_)), "{e:?}");
-        let e = CliError::from(BwfftError::Plan(PlanError::NotPow2("n", 12)));
-        assert!(matches!(e, CliError::Usage(_)), "{e:?}");
+        }
+        .into();
+        assert_eq!(checksum.integrity_kind(), Some(IntegrityKind::Checksum));
+        let energy = CoreError::Integrity {
+            stage: 0,
+            block: 0,
+            kind: IntegrityKind::Energy,
+        };
+        assert_eq!(energy.integrity_kind(), Some(IntegrityKind::Energy));
+        let runtime: [(CoreError, &str); 8] = [
+            (
+                PipelineError::WorkerPanicked {
+                    role: Role::Compute,
+                    thread: 1,
+                    iter: 3,
+                    message: "boom".into(),
+                }
+                .into(),
+                "panicked at pipeline iteration 3",
+            ),
+            (
+                PipelineError::StageTimeout {
+                    role: Role::Data,
+                    thread: 0,
+                    iter: 2,
+                    timeout: std::time::Duration::from_secs(1),
+                }
+                .into(),
+                "timed out",
+            ),
+            (checksum, "integrity guard"),
+            (
+                PipelineError::Cancelled {
+                    iter: 3,
+                    reason: CancelReason::Deadline,
+                }
+                .into(),
+                "deadline",
+            ),
+            (
+                PipelineError::Cancelled {
+                    iter: 0,
+                    reason: CancelReason::Shutdown,
+                }
+                .into(),
+                "shutdown",
+            ),
+            (
+                EngineError::UndeclaredBarrier { id: 1 }.into(),
+                "simulation",
+            ),
+            (energy, "integrity guard"),
+            (
+                AllocError {
+                    what: "double buffer",
+                    bytes: 1 << 40,
+                }
+                .into(),
+                "allocation",
+            ),
+        ];
+        for (e, text) in runtime {
+            match CliError::from(e) {
+                CliError::Runtime(msg) => assert!(msg.contains(text), "{msg}"),
+                other => panic!("expected a runtime fault, got {other:?}"),
+            }
+        }
+        // Tuner: bad wisdom and plans that fail validation are caller
+        // input; a failed timing run or an empty search space is not.
+        let tuner_usage = [
+            TunerError::Plan(PlanError::NotPow2("mu", 3)),
+            TunerError::WisdomIo {
+                path: "/nope".into(),
+                detail: "denied".into(),
+            },
+            TunerError::WisdomParse {
+                line: 4,
+                reason: "bad token".into(),
+            },
+        ];
+        for e in tuner_usage {
+            let c = CliError::from(e);
+            assert!(matches!(c, CliError::Usage(_)), "{c:?}");
+        }
+        assert!(matches!(
+            CliError::from(TunerError::WisdomParse { line: 4, reason: "x".into() }),
+            CliError::Usage(m) if m.contains("line 4")
+        ));
+        let tuner_runtime = [
+            TunerError::Exec(CoreError::SocketMismatch {
+                plan: 2,
+                machine: 1,
+            }),
+            TunerError::EmptySearchSpace {
+                dims: Dims::d2(8, 8),
+            },
+        ];
+        for e in tuner_runtime {
+            let c = CliError::from(e);
+            assert!(matches!(c, CliError::Runtime(_)), "{c:?}");
+        }
     }
 
     #[test]
@@ -2233,43 +2359,54 @@ mod tests {
 
     #[test]
     fn profile_flag_parses_both_forms() {
-        let args: Vec<String> = ["--profile"].iter().map(|s| s.to_string()).collect();
-        let f = parse_flags(&args).unwrap();
-        assert_eq!(profile_mode(&f).unwrap(), Some(false));
+        let tune = |profile: &str| -> Vec<String> {
+            ["--dims", "8x8", profile]
+                .iter()
+                .map(|s| s.to_string())
+                .collect()
+        };
+        let f = parse_flags("tune", &tune("--profile")).unwrap();
+        assert_eq!(json_mode(&f, "profile"), Some(false));
 
-        let args: Vec<String> = ["--profile=json"].iter().map(|s| s.to_string()).collect();
-        let f = parse_flags(&args).unwrap();
-        assert_eq!(profile_mode(&f).unwrap(), Some(true));
+        let f = parse_flags("tune", &tune("--profile=json")).unwrap();
+        assert_eq!(json_mode(&f, "profile"), Some(true));
 
-        let args: Vec<String> = ["--profile=yaml"].iter().map(|s| s.to_string()).collect();
-        let f = parse_flags(&args).unwrap();
-        assert!(matches!(profile_mode(&f), Err(CliError::Usage(_))));
+        assert!(matches!(
+            parse_flags("tune", &tune("--profile=yaml")),
+            Err(CliError::Usage(m)) if m.contains("--profile")
+        ));
 
-        assert_eq!(profile_mode(&HashMap::new()).unwrap(), None);
+        let f = parse_flags("tune", &tune("--inverse")).unwrap();
+        assert_eq!(json_mode(&f, "profile"), None);
         // `=` on any other flag is rejected.
         let args: Vec<String> = ["--dims=8x8"].iter().map(|s| s.to_string()).collect();
-        assert!(parse_flags(&args).is_err());
+        assert!(parse_flags("tune", &args).is_err());
     }
 
     #[test]
     fn metrics_flag_parses_both_forms() {
         let args: Vec<String> = ["--metrics"].iter().map(|s| s.to_string()).collect();
-        let f = parse_flags(&args).unwrap();
-        assert_eq!(metrics_mode(&f).unwrap(), Some(false), "bare = prometheus");
+        let f = parse_flags("serve", &args).unwrap();
+        assert_eq!(json_mode(&f, "metrics"), Some(false), "bare = prometheus");
 
         let args: Vec<String> = ["--metrics=prom"].iter().map(|s| s.to_string()).collect();
-        let f = parse_flags(&args).unwrap();
-        assert_eq!(metrics_mode(&f).unwrap(), Some(false));
+        let f = parse_flags("serve", &args).unwrap();
+        assert_eq!(json_mode(&f, "metrics"), Some(false));
 
         let args: Vec<String> = ["--metrics=json"].iter().map(|s| s.to_string()).collect();
-        let f = parse_flags(&args).unwrap();
-        assert_eq!(metrics_mode(&f).unwrap(), Some(true));
+        let f = parse_flags("serve", &args).unwrap();
+        assert_eq!(json_mode(&f, "metrics"), Some(true));
 
         let args: Vec<String> = ["--metrics=xml"].iter().map(|s| s.to_string()).collect();
-        let f = parse_flags(&args).unwrap();
-        assert!(matches!(metrics_mode(&f), Err(CliError::Usage(_))));
+        assert!(matches!(
+            parse_flags("serve", &args),
+            Err(CliError::Usage(_))
+        ));
 
-        assert_eq!(metrics_mode(&HashMap::new()).unwrap(), None);
+        assert_eq!(
+            json_mode(&parse_flags("serve", &[]).unwrap(), "metrics"),
+            None
+        );
     }
 
     #[test]

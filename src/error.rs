@@ -1,413 +1,109 @@
-//! The facade's flattened error type.
+//! The facade's error surface, as a facade user sees it.
 //!
-//! Library users match on one enum instead of unwrapping the
-//! per-crate taxonomy (`PlanError` → `CoreError` → …). The fault
-//! variants (`WorkerPanicked`, `StageTimeout`) are lifted to the top
-//! level because they are the ones callers dispatch on when building
-//! retry / fallback logic:
-//!
-//! ```
-//! use bwfft::{BwfftError, PlanExecute};
-//! use bwfft::core::{Dims, FftPlan};
-//! use bwfft::num::Complex64;
-//!
-//! let plan = FftPlan::builder(Dims::d3(8, 8, 8)).buffer_elems(64).build().unwrap();
-//! let mut data = vec![Complex64::ZERO; 512];
-//! let mut work = vec![Complex64::ZERO; 512];
-//! match plan.execute(&mut data, &mut work) {
-//!     Ok(report) => println!("ran on {:?}", report.executor),
-//!     Err(BwfftError::WorkerPanicked { role, thread, iter, .. }) => {
-//!         eprintln!("{role:?} thread {thread} died at block {iter}; retrying fused");
-//!     }
-//!     Err(e) => eprintln!("{e}"),
-//! }
-//! ```
-
-use bwfft_core::{CoreError, ExecReport, FftPlan, PlanError};
-use bwfft_machine::EngineError;
-use bwfft_num::{AllocError, Complex64};
-use bwfft_pipeline::{CancelReason, ConfigError, IntegrityKind, PipelineError, Role};
-use bwfft_tuner::TunerError;
-use std::time::Duration;
-
-/// Everything that can go wrong in the `bwfft` facade, flattened.
-#[derive(Clone, Debug, PartialEq)]
-pub enum BwfftError {
-    /// Plan construction/validation failed (user input).
-    Plan(PlanError),
-    /// The executor rejected the pipeline configuration (user input).
-    Config(ConfigError),
-    /// A worker thread panicked; the panic was contained, all threads
-    /// joined, and the process is intact.
-    WorkerPanicked {
-        role: Role,
-        thread: usize,
-        iter: usize,
-        message: String,
-    },
-    /// A peer stopped making progress and the per-iteration watchdog
-    /// fired.
-    StageTimeout {
-        role: Role,
-        thread: usize,
-        iter: usize,
-        timeout: Duration,
-    },
-    /// The discrete-event simulator failed.
-    Simulation(EngineError),
-    /// A caller-provided array has the wrong length (user input).
-    InputLength {
-        what: &'static str,
-        expected: usize,
-        got: usize,
-    },
-    /// The plan wants more sockets than the simulated machine has
-    /// (user input).
-    SocketMismatch { plan: usize, machine: usize },
-    /// Autotuning, plan caching, or wisdom handling failed. Note that
-    /// version/host mismatches of a wisdom file are *not* errors — they
-    /// degrade to re-tuning (`bwfft_tuner::RetuneReason`).
-    Tuner(TunerError),
-    /// An integrity guard (buffer canary, per-block checksum, or the
-    /// whole-run Parseval/energy invariant) detected silent data
-    /// corruption; the run was aborted rather than returning a wrong
-    /// answer. Flattened from both the pipeline-level and core-level
-    /// guard variants.
-    Integrity {
-        /// FFT stage the guard fired in (0 for whole-run guards).
-        stage: usize,
-        /// Block index at the detection point (0 for whole-run guards).
-        block: usize,
-        kind: IntegrityKind,
-    },
-    /// A buffer allocation was refused (OOM or an injected allocation
-    /// budget). Recoverable: the supervisor answers it by shrinking the
-    /// plan's buffer and retrying.
-    Allocation(AllocError),
-    /// The run's cancellation token fired — a per-request deadline
-    /// passed or the owner drained the executor. The workers exited
-    /// cooperatively at the next step boundary; the supervisor never
-    /// retries this (retrying a cancelled request keeps burning its
-    /// worker past the deadline).
-    Cancelled {
-        /// Pipeline step (or fused block) at which a worker observed
-        /// the token.
-        iter: usize,
-        reason: CancelReason,
-    },
-}
-
-impl BwfftError {
-    /// True for errors caused by caller input (bad plan, bad lengths,
-    /// bad config) rather than a runtime fault. The CLI maps these to
-    /// exit code 2 (usage) and everything else to 1.
-    pub fn is_usage(&self) -> bool {
-        matches!(
-            self,
-            BwfftError::Plan(_)
-                | BwfftError::Config(_)
-                | BwfftError::InputLength { .. }
-                | BwfftError::SocketMismatch { .. }
-                // Bad wisdom files and wisdom-replayed invalid plans are
-                // caller input; a failed timing run is not.
-                | BwfftError::Tuner(
-                    TunerError::Plan(_)
-                        | TunerError::WisdomIo { .. }
-                        | TunerError::WisdomParse { .. }
-                )
-        )
-    }
-}
-
-impl From<PlanError> for BwfftError {
-    fn from(e: PlanError) -> Self {
-        BwfftError::Plan(e)
-    }
-}
-
-impl From<PipelineError> for BwfftError {
-    fn from(e: PipelineError) -> Self {
-        match e {
-            PipelineError::Config(c) => BwfftError::Config(c),
-            PipelineError::WorkerPanicked {
-                role,
-                thread,
-                iter,
-                message,
-            } => BwfftError::WorkerPanicked {
-                role,
-                thread,
-                iter,
-                message,
-            },
-            PipelineError::StageTimeout {
-                role,
-                thread,
-                iter,
-                timeout,
-            } => BwfftError::StageTimeout {
-                role,
-                thread,
-                iter,
-                timeout,
-            },
-            PipelineError::Integrity { stage, block, kind } => {
-                BwfftError::Integrity { stage, block, kind }
-            }
-            PipelineError::Cancelled { iter, reason } => BwfftError::Cancelled { iter, reason },
-        }
-    }
-}
-
-impl From<AllocError> for BwfftError {
-    fn from(e: AllocError) -> Self {
-        BwfftError::Allocation(e)
-    }
-}
-
-impl From<EngineError> for BwfftError {
-    fn from(e: EngineError) -> Self {
-        BwfftError::Simulation(e)
-    }
-}
-
-impl From<TunerError> for BwfftError {
-    fn from(e: TunerError) -> Self {
-        BwfftError::Tuner(e)
-    }
-}
-
-impl From<CoreError> for BwfftError {
-    fn from(e: CoreError) -> Self {
-        match e {
-            CoreError::Plan(p) => p.into(),
-            CoreError::Pipeline(p) => p.into(),
-            CoreError::Engine(p) => p.into(),
-            CoreError::InputLength {
-                what,
-                expected,
-                got,
-            } => BwfftError::InputLength {
-                what,
-                expected,
-                got,
-            },
-            CoreError::SocketMismatch { plan, machine } => {
-                BwfftError::SocketMismatch { plan, machine }
-            }
-            CoreError::Integrity { stage, block, kind } => {
-                BwfftError::Integrity { stage, block, kind }
-            }
-            CoreError::Allocation(a) => BwfftError::Allocation(a),
-        }
-    }
-}
-
-impl std::fmt::Display for BwfftError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            BwfftError::Plan(e) => write!(f, "plan: {e}"),
-            BwfftError::Config(e) => write!(f, "pipeline config: {e}"),
-            BwfftError::WorkerPanicked {
-                role,
-                thread,
-                iter,
-                message,
-            } => write!(
-                f,
-                "{role:?} thread {thread} panicked at block {iter}: {message}"
-            ),
-            BwfftError::StageTimeout {
-                role,
-                thread,
-                iter,
-                timeout,
-            } => write!(
-                f,
-                "{role:?} thread {thread} stalled past the {timeout:?} watchdog at step {iter}"
-            ),
-            BwfftError::Simulation(e) => write!(f, "simulation: {e}"),
-            BwfftError::InputLength {
-                what,
-                expected,
-                got,
-            } => write!(f, "{what} has {got} elements, plan needs {expected}"),
-            BwfftError::SocketMismatch { plan, machine } => {
-                write!(f, "plan wants {plan} sockets, machine has {machine}")
-            }
-            BwfftError::Tuner(e) => write!(f, "tuner: {e}"),
-            BwfftError::Integrity { stage, block, kind } => write!(
-                f,
-                "integrity guard: {kind} at stage {stage}, block {block}"
-            ),
-            BwfftError::Allocation(e) => write!(f, "allocation: {e}"),
-            BwfftError::Cancelled { iter, reason } => {
-                write!(f, "run cancelled at step {iter}: {reason}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for BwfftError {}
-
-/// Ergonomic execution entry point on [`FftPlan`] returning the
-/// flattened [`BwfftError`].
-pub trait PlanExecute {
-    /// Runs the transform on the host (see
-    /// [`bwfft_core::exec_real::execute`]).
-    fn execute(
-        &self,
-        data: &mut [Complex64],
-        work: &mut [Complex64],
-    ) -> Result<ExecReport, BwfftError>;
-}
-
-impl PlanExecute for FftPlan {
-    fn execute(
-        &self,
-        data: &mut [Complex64],
-        work: &mut [Complex64],
-    ) -> Result<ExecReport, BwfftError> {
-        bwfft_core::exec_real::execute(self, data, work).map_err(BwfftError::from)
-    }
-}
+//! The facade adds no error type of its own: each entry point returns
+//! its crate's typed error, and each of those errors classifies itself
+//! through its own `is_usage()` ([`CoreError::is_usage`],
+//! [`TunerError::is_usage`]). These tests pin that classification and
+//! the rendered messages through the re-exported paths.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-
-    #[test]
-    fn flattens_nested_pipeline_errors() {
-        let nested = CoreError::Pipeline(PipelineError::WorkerPanicked {
-            role: Role::Compute,
-            thread: 1,
-            iter: 3,
-            message: "boom".into(),
-        });
-        let flat: BwfftError = nested.into();
-        assert!(matches!(
-            flat,
-            BwfftError::WorkerPanicked { role: Role::Compute, thread: 1, iter: 3, .. }
-        ));
-        assert!(!flat.is_usage());
-    }
+    use crate::core::{CoreError, PlanError};
+    use crate::num::AllocError;
+    use crate::pipeline::{CancelReason, IntegrityKind, PipelineError, Role};
+    use crate::tuner::TunerError;
+    use std::time::Duration;
 
     #[test]
     fn usage_classification() {
-        let e: BwfftError = PlanError::NotPow2("n", 12).into();
+        let e: CoreError = PlanError::NotPow2("n", 12).into();
         assert!(e.is_usage());
-        let e: BwfftError = CoreError::InputLength {
+        let e = CoreError::InputLength {
             what: "data",
             expected: 8,
             got: 4,
-        }
-        .into();
+        };
         assert!(e.is_usage());
-        let e = BwfftError::StageTimeout {
+        let e: CoreError = PipelineError::StageTimeout {
             role: Role::Data,
             thread: 0,
             iter: 2,
             timeout: Duration::from_secs(1),
-        };
+        }
+        .into();
         assert!(!e.is_usage());
     }
 
     #[test]
     fn tuner_errors_flatten_and_classify() {
         // Bad wisdom = usage; a failed timing run = runtime fault.
-        let e: BwfftError = TunerError::WisdomParse {
+        let e = TunerError::WisdomParse {
             line: 4,
             reason: "bad token".into(),
-        }
-        .into();
+        };
         assert!(e.is_usage());
         assert!(e.to_string().contains("line 4"));
-        let e: BwfftError =
-            TunerError::Exec(CoreError::SocketMismatch { plan: 2, machine: 1 }).into();
+        let e = TunerError::Exec(CoreError::SocketMismatch {
+            plan: 2,
+            machine: 1,
+        });
         assert!(!e.is_usage());
-    }
-
-    #[test]
-    fn plan_execute_trait_runs_and_types_errors() {
-        use bwfft_core::Dims;
-        let plan = FftPlan::builder(Dims::d3(8, 8, 8))
-            .buffer_elems(64)
-            .build()
-            .unwrap();
-        let mut data = vec![Complex64::ZERO; 512];
-        let mut work = vec![Complex64::ZERO; 512];
-        assert!(plan.execute(&mut data, &mut work).is_ok());
-        let mut short = vec![Complex64::ZERO; 8];
-        let err = plan.execute(&mut short, &mut work).unwrap_err();
-        assert!(matches!(err, BwfftError::InputLength { what: "data", .. }));
     }
 
     #[test]
     fn integrity_and_allocation_flatten_as_runtime_faults() {
         // Pipeline-level guard trip and core-level (energy) guard trip
-        // flatten to the same facade variant; both are runtime faults
+        // re-key to the same integrity kind; both are runtime faults
         // (exit 1), never usage errors.
-        let e: BwfftError = CoreError::Pipeline(PipelineError::Integrity {
+        let e: CoreError = PipelineError::Integrity {
             stage: 1,
             block: 4,
             kind: IntegrityKind::Checksum,
-        })
+        }
         .into();
-        assert!(
-            matches!(e, BwfftError::Integrity { stage: 1, block: 4, kind: IntegrityKind::Checksum })
-        );
+        assert_eq!(e.integrity_kind(), Some(IntegrityKind::Checksum));
         assert!(!e.is_usage());
-        let e: BwfftError = CoreError::Integrity {
+        let e = CoreError::Integrity {
             stage: 0,
             block: 0,
             kind: IntegrityKind::Energy,
-        }
-        .into();
-        assert!(matches!(e, BwfftError::Integrity { kind: IntegrityKind::Energy, .. }));
+        };
+        assert_eq!(e.integrity_kind(), Some(IntegrityKind::Energy));
         assert!(!e.is_usage());
         assert!(e.to_string().contains("integrity guard"));
 
-        let e: BwfftError = CoreError::Allocation(AllocError {
+        let e: CoreError = AllocError {
             what: "double buffer",
             bytes: 1 << 40,
-        })
+        }
         .into();
-        assert!(matches!(e, BwfftError::Allocation(_)));
+        assert!(matches!(e, CoreError::Allocation(_)));
         assert!(!e.is_usage());
         assert!(e.to_string().contains("allocation"));
     }
 
     #[test]
     fn cancellation_flattens_as_a_runtime_fault() {
-        let e: BwfftError = CoreError::Pipeline(PipelineError::Cancelled {
+        let e: CoreError = PipelineError::Cancelled {
             iter: 3,
             reason: CancelReason::Deadline,
-        })
+        }
         .into();
         assert!(matches!(
             e,
-            BwfftError::Cancelled { iter: 3, reason: CancelReason::Deadline }
+            CoreError::Pipeline(PipelineError::Cancelled {
+                iter: 3,
+                reason: CancelReason::Deadline
+            })
         ));
         assert!(!e.is_usage());
         assert!(e.to_string().contains("deadline"));
-        let e: BwfftError = PipelineError::Cancelled {
+        let e: CoreError = PipelineError::Cancelled {
             iter: 0,
             reason: CancelReason::Shutdown,
         }
         .into();
+        assert!(!e.is_usage());
         assert!(e.to_string().contains("shutdown"));
-    }
-
-    #[test]
-    fn errors_render() {
-        let e = BwfftError::WorkerPanicked {
-            role: Role::Data,
-            thread: 0,
-            iter: 7,
-            message: "x".into(),
-        };
-        assert!(e.to_string().contains("block 7"));
-        let e = BwfftError::SocketMismatch { plan: 2, machine: 1 };
-        assert!(e.to_string().contains("2 sockets"));
     }
 }

@@ -44,14 +44,18 @@
 //!
 //! ## Errors and fault tolerance
 //!
-//! Every fallible entry point returns a typed error; worker panics
-//! inside the executor are contained (no process abort, no deadlock)
-//! and surface as [`BwfftError::WorkerPanicked`]:
+//! Every fallible entry point returns its crate's typed error; worker
+//! panics inside the executor are contained (no process abort, no
+//! deadlock) and surface as
+//! [`PipelineError::WorkerPanicked`](pipeline::PipelineError::WorkerPanicked)
+//! inside [`CoreError::Pipeline`](crate::core::CoreError::Pipeline).
+//! Each crate error's `is_usage()` says whether the caller's input was
+//! at fault:
 //!
 //! ```
-//! use bwfft::{BwfftError, PlanExecute};
-//! use bwfft::core::{Dims, FftPlan};
+//! use bwfft::core::{exec_real, CoreError, Dims, FftPlan};
 //! use bwfft::num::Complex64;
+//! use bwfft::pipeline::PipelineError;
 //!
 //! let plan = FftPlan::builder(Dims::d3(8, 8, 8))
 //!     .buffer_elems(64)
@@ -60,19 +64,21 @@
 //!     .unwrap();
 //! let mut data = vec![Complex64::ZERO; 512];
 //! let mut work = vec![Complex64::ZERO; 512];
-//! match plan.execute(&mut data, &mut work) {
+//! match exec_real::execute(&plan, &mut data, &mut work) {
 //!     Ok(report) => {
 //!         for d in &report.degradations {
 //!             eprintln!("note: degraded: {d}");
 //!         }
 //!     }
-//!     Err(BwfftError::WorkerPanicked { role, thread, iter, .. }) => {
+//!     Err(CoreError::Pipeline(PipelineError::WorkerPanicked { role, thread, iter, .. })) => {
 //!         eprintln!("{role:?} thread {thread} died at block {iter}");
 //!     }
+//!     Err(e) if e.is_usage() => eprintln!("bad input: {e}"),
 //!     Err(e) => eprintln!("{e}"),
 //! }
 //! ```
 
+#[cfg(test)]
 mod error;
 pub mod real;
 pub mod soak;
@@ -90,7 +96,6 @@ pub use bwfft_serve as serve;
 pub use bwfft_spl as spl;
 pub use bwfft_trace as trace;
 pub use bwfft_tuner as tuner;
-pub use error::{BwfftError, PlanExecute};
 pub use soak::{
     run_ooc_kill_soak, run_serve_soak, run_soak, OocKillSoakConfig, OocKillSoakReport, OocTamper,
     ServeScenario, ServeSoakConfig, ServeSoakReport, SoakConfig, SoakReport,

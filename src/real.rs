@@ -14,9 +14,8 @@ pub use bwfft_kernels::layout::{
 };
 pub use bwfft_kernels::realfft::{conv_direct, packed_spectrum_energy, RealFft1d, SpectralConv1d};
 
-use crate::error::BwfftError;
 use bwfft_core::exec_real::execute;
-use bwfft_core::Dims;
+use bwfft_core::{CoreError, Dims};
 use bwfft_num::{try_vec_zeroed, Complex64};
 
 /// Outcome of [`solve_poisson_3d`]: the manufactured-solution error
@@ -49,7 +48,7 @@ pub fn solve_poisson_3d(
     p_d: usize,
     p_c: usize,
     buffer_elems: usize,
-) -> Result<PoissonReport, BwfftError> {
+) -> Result<PoissonReport, CoreError> {
     let tau = std::f64::consts::TAU;
     let plan = RealFftPlan::builder(Dims::d3(n, n, n))
         .buffer_elems(buffer_elems)

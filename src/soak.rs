@@ -19,15 +19,16 @@
 //! The `soak` CLI subcommand and `tests/soak.rs` drive this module; the
 //! CI smoke tier runs it with a fixed seed.
 
-use crate::error::BwfftError;
 use bwfft_baselines::reference_impl::{pencil_fft_2d, pencil_fft_3d};
 use bwfft_core::exec_real::ExecConfig;
+use bwfft_core::CoreError;
 use bwfft_core::{Dims, FftPlan, RecoveryTier, RetryPolicy, SupervisedReport, Supervisor};
 use bwfft_num::compare::{fft_tolerance, rel_l2_error};
 use bwfft_num::signal::random_complex;
 use bwfft_num::Complex64;
 use bwfft_pipeline::fault::silence_injected_panic_reports;
 use bwfft_pipeline::{AdaptiveWatchdog, FaultPhase, FaultPlan, IntegrityConfig, Role};
+use bwfft_serve::{FftRequest, FftServer, RequestOutcome, ServeConfig, ServeError};
 use std::time::Duration;
 
 /// xorshift64* — tiny, dependency-free, and good enough to scatter
@@ -271,7 +272,7 @@ fn oracle(dims: Dims, x: &[Complex64]) -> Vec<Complex64> {
 /// transforms. Returns `Err` only if an iteration's *plan construction*
 /// fails (a harness bug, not a recovery outcome) — every executor
 /// outcome, including typed failures, is folded into the report.
-pub fn run_soak(cfg: &SoakConfig) -> Result<SoakReport, BwfftError> {
+pub fn run_soak(cfg: &SoakConfig) -> Result<SoakReport, CoreError> {
     silence_injected_panic_reports();
     let mut rng = XorShift64Star::new(cfg.seed);
     let supervisor = Supervisor::new(cfg.policy.clone());
@@ -471,9 +472,7 @@ struct ServeProbe {
 /// a randomized batch at it, drains, and verifies every ticket:
 /// completed outputs against the pencil oracle, and the per-ticket
 /// outcome tally against the drained [`bwfft_serve::ServeReport`].
-pub fn run_serve_soak(cfg: &ServeSoakConfig) -> Result<ServeSoakReport, BwfftError> {
-    use bwfft_serve::{FftRequest, FftServer, RequestOutcome, ServeConfig, ServeError};
-
+pub fn run_serve_soak(cfg: &ServeSoakConfig) -> Result<ServeSoakReport, ServeError> {
     silence_injected_panic_reports();
     let mut rng = XorShift64Star::new(cfg.seed);
     let mut report = ServeSoakReport::default();
@@ -572,14 +571,7 @@ pub fn run_serve_soak(cfg: &ServeSoakConfig) -> Result<ServeSoakReport, BwfftErr
                 Ok(ticket) => probes.push(ServeProbe { dims, input, ticket }),
                 Err(ServeError::Rejected { .. }) => rejected += 1,
                 // A usage error here is a harness bug, not an outcome.
-                Err(ServeError::InvalidRequest { error }) => return Err(error.into()),
-                Err(ServeError::InputLength { expected, got }) => {
-                    return Err(BwfftError::InputLength {
-                        what: "serve soak request",
-                        expected,
-                        got,
-                    })
-                }
+                Err(e) => return Err(e),
             }
         }
 
