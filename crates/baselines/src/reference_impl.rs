@@ -38,7 +38,7 @@ pub fn pencil_fft_3d(data: &mut [Complex64], k: usize, n: usize, m: usize, dir: 
 
 /// Slab–pencil 3D FFT: a 2D FFT per z-slab (fused stages 1+2, one
 /// round trip if the slab fits in cache), then the z-pencil pass — the
-/// plan FFTW effectively uses on large-cache parts (§II-B ref [5], §V).
+/// plan FFTW effectively uses on large-cache parts (§II-B ref \[5\], §V).
 pub fn slab_pencil_fft_3d(data: &mut [Complex64], k: usize, n: usize, m: usize, dir: Direction) {
     assert_eq!(data.len(), k * n * m);
     for z in 0..k {

@@ -5,7 +5,7 @@
 //!
 //! * **The measured harness** (DESIGN.md §9): [`stats`] (MAD outlier
 //!   rejection, median, bootstrap CIs), [`measure`] (the
-//!   warmup/time/trace loop over the real executors), [`suite`] (the
+//!   warmup/time/trace loop over the real executors), [`mod@suite`] (the
 //!   canonical paper-derived case list), [`record`] (the versioned
 //!   `bwfft-bench/1` JSON schema written to `BENCH_<gitrev>.json`),
 //!   and [`compare`] (the regression gate pairing two BENCH files).

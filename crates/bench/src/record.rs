@@ -40,8 +40,8 @@ pub struct StageMetric {
     pub percent_of_stream: Option<f64>,
 }
 
-/// Service-mode columns: what an open-loop `bwfft-cli bench --suite
-/// serve` run measured. Latency percentiles are over completed
+/// Service-mode columns: what an open-loop `bwfft-cli bench-serve` run
+/// measured. Latency percentiles are over completed
 /// requests, submission to completion; the outcome counts are the
 /// drained [`ServeReport`](bwfft_serve::ServeReport)'s accounting, so
 /// `submitted == completed + deadline_exceeded + failed` in any record
@@ -125,7 +125,7 @@ pub struct RealMetrics {
 /// One suite case's result.
 #[derive(Clone, Debug, PartialEq)]
 pub struct SuiteResult {
-    /// Stable pairing key (see [`crate::suite`]).
+    /// Stable pairing key (see [`mod@crate::suite`]).
     pub key: String,
     /// Problem label, e.g. `"128x128"`.
     pub label: String,

@@ -1,6 +1,6 @@
 //! Large 1D FFTs via the four-step (Bailey) decomposition — the
 //! natural extension of the paper's machinery to one dimension, where
-//! its predecessor work (paper ref [20]) operated.
+//! its predecessor work (paper ref \[20\]) operated.
 //!
 //! For `N = n1·n2`, the Cooley–Tukey factorization
 //!

@@ -1,5 +1,5 @@
 //! Plan-aware glue for the observability layer: builds the
-//! [`RunMeta`] a [`bwfft_trace::aggregate`] pass needs (per-stage I/O
+//! [`RunMeta`] a [`bwfft_trace::aggregate()`] pass needs (per-stage I/O
 //! volumes, the machine's achievable bandwidth) from an [`FftPlan`],
 //! and renders a collector into a [`TraceReport`] in one call.
 //!

@@ -106,20 +106,6 @@ impl BatchFft {
         }
     }
 
-    /// Applies the batch to a disjoint sub-range of pencils — the unit
-    /// of work one compute thread takes when the batch is parallelized
-    /// across `p_c` threads (§III-C). `first` and `count` are in
-    /// pencils.
-    pub fn run_range(&mut self, buf: &mut [Complex64], first: usize, count: usize) {
-        let chunk = self.pencil_elems();
-        let lo = first * chunk;
-        let hi = lo + count * chunk;
-        assert!(hi <= buf.len());
-        for pencil in buf[lo..hi].chunks_exact_mut(chunk) {
-            self.apply(pencil);
-        }
-    }
-
     /// Estimated flop count for one full buffer pass, using the paper's
     /// `5·N·log2 N` pseudo-flop convention per pencil.
     pub fn pseudo_flops(&self, buf_elems: usize) -> f64 {
@@ -171,12 +157,12 @@ mod tests {
         let x = random_complex(c * m, 42);
         let mut whole = x.clone();
         BatchFft::new(m, 1, Direction::Forward).run(&mut whole);
-        // Two "threads" each take half the pencils.
+        // Two "threads" each take a disjoint half of the pencils, the
+        // way the compute threads split a buffer half.
         let mut halves = x.clone();
-        let mut k0 = BatchFft::new(m, 1, Direction::Forward);
-        let mut k1 = BatchFft::new(m, 1, Direction::Forward);
-        k0.run_range(&mut halves, 0, 4);
-        k1.run_range(&mut halves, 4, 4);
+        let (lo, hi) = halves.split_at_mut(4 * m);
+        BatchFft::new(m, 1, Direction::Forward).run(lo);
+        BatchFft::new(m, 1, Direction::Forward).run(hi);
         assert_eq!(whole, halves);
     }
 

@@ -1,105 +1,8 @@
-//! Mixed data-layout kernels (§IV "cache aware FFT", paper ref [18]).
-//!
-//! The compute stages of the paper run in *block-interleaved* format:
-//! `μ` real parts followed by `μ` imaginary parts per cacheline, so
-//! that a SIMD vector holds homogeneous components and complex
-//! butterflies need no shuffles. The format change is folded into the
-//! first stage (interleaved → block) and the last stage (block →
-//! interleaved); intermediate stages stay in block format.
-//!
-//! This module provides the format-change kernels and a block-format
-//! butterfly used to validate that computing in split format produces
-//! identical results.
+//! Real-transform layout changes: the conjugate-even fold of a real
+//! array into half-length complex data, its inverse, and the packed
+//! half-spectrum helpers the r2c/c2r path and its oracles share.
 
-use crate::twiddle::StockhamTwiddles;
-use bwfft_num::{split, Complex64, MU};
-
-/// Converts a buffer of interleaved complex data to block-interleaved
-/// format with block size [`MU`] into `dst` (`dst.len() == 2·src.len()`
-/// f64 slots).
-pub fn to_block_format(src: &[Complex64], dst: &mut [f64]) {
-    split::interleaved_to_block(src, dst, MU);
-}
-
-/// Converts block-interleaved data back to interleaved complex.
-pub fn from_block_format(src: &[f64], dst: &mut [Complex64]) {
-    split::block_to_interleaved(src, dst, MU);
-}
-
-/// Stockham FFT computed entirely in block-interleaved format:
-/// `(DFT_n ⊗ I_s)` where data and scratch are raw `f64` buffers holding
-/// `n·s` logical complex elements in block format. `s` must be a
-/// multiple of [`MU`] so that every stride-run is whole blocks.
-///
-/// This is the layout the paper's compute threads use; separating real
-/// and imaginary planes makes each butterfly a pair of independent
-/// fused multiply-adds per lane.
-pub fn stockham_block_format(
-    data: &mut [f64],
-    scratch: &mut [f64],
-    n: usize,
-    s: usize,
-    tw: &StockhamTwiddles,
-) {
-    assert_eq!(tw.n, n);
-    assert_eq!(data.len(), 2 * n * s);
-    assert_eq!(scratch.len(), 2 * n * s);
-    assert!(s.is_multiple_of(MU), "block-format kernel needs s to be a multiple of μ");
-    if n == 1 {
-        return;
-    }
-    let mut len = n;
-    let mut stride = s;
-    let mut src_is_data = true;
-    for q in 0..tw.num_stages() {
-        let table = tw.stage(q);
-        let (src, dst): (&mut [f64], &mut [f64]) = if src_is_data {
-            (&mut *data, &mut *scratch)
-        } else {
-            (&mut *scratch, &mut *data)
-        };
-        block_stage(src, dst, len, stride, table);
-        len /= 2;
-        stride *= 2;
-        src_is_data = !src_is_data;
-    }
-    if !src_is_data {
-        data.copy_from_slice(scratch);
-    }
-}
-
-/// One DIF stage over block-format data. Offsets are in logical complex
-/// elements; each element `e` lives at raw offsets
-/// `(e/μ)·2μ + e%μ` (real) and `+μ` (imag).
-fn block_stage(src: &[f64], dst: &mut [f64], len: usize, stride: usize, table: &[Complex64]) {
-    let half = len / 2;
-    // stride is a multiple of μ, so a stride-run is stride/μ full blocks.
-    let blocks = stride / MU;
-    for (p, &w) in table.iter().enumerate().take(half) {
-        for blk in 0..blocks {
-            let a_e = stride * p + blk * MU;
-            let b_e = stride * (p + half) + blk * MU;
-            let lo_e = stride * 2 * p + blk * MU;
-            let hi_e = stride * (2 * p + 1) + blk * MU;
-            let (a_r, a_i) = (raw_re(a_e), raw_im(a_e));
-            let (b_r, b_i) = (raw_re(b_e), raw_im(b_e));
-            let (lo_r, lo_i) = (raw_re(lo_e), raw_im(lo_e));
-            let (hi_r, hi_i) = (raw_re(hi_e), raw_im(hi_e));
-            for lane in 0..MU {
-                let ar = src[a_r + lane];
-                let ai = src[a_i + lane];
-                let br = src[b_r + lane];
-                let bi = src[b_i + lane];
-                dst[lo_r + lane] = ar + br;
-                dst[lo_i + lane] = ai + bi;
-                let dr = ar - br;
-                let di = ai - bi;
-                dst[hi_r + lane] = dr * w.re - di * w.im;
-                dst[hi_i + lane] = dr * w.im + di * w.re;
-            }
-        }
-    }
-}
+use bwfft_num::Complex64;
 
 /// Number of complex bins in the conjugate-even packed spectrum of a
 /// real transform of length `n` along its innermost dimension:
@@ -155,74 +58,9 @@ pub fn unpack_half_spectrum(packed: &[Complex64], full: &mut [Complex64]) {
     }
 }
 
-#[inline(always)]
-fn raw_re(elem: usize) -> usize {
-    debug_assert_eq!(elem % MU, 0);
-    (elem / MU) * 2 * MU
-}
-
-#[inline(always)]
-fn raw_im(elem: usize) -> usize {
-    raw_re(elem) + MU
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stockham::stockham_strided;
-    use crate::Direction;
-    use bwfft_num::compare::assert_fft_close;
-    use bwfft_num::signal::random_complex;
-
-    #[test]
-    fn format_roundtrip() {
-        let x = random_complex(64, 60);
-        let mut blocked = vec![0.0; 128];
-        to_block_format(&x, &mut blocked);
-        let mut back = vec![Complex64::ZERO; 64];
-        from_block_format(&blocked, &mut back);
-        assert_eq!(back, x);
-    }
-
-    #[test]
-    fn block_format_fft_matches_interleaved() {
-        // The same transform computed in both layouts must agree —
-        // the paper's format change is purely an efficiency device.
-        for (n, s) in [(8usize, 4usize), (16, 4), (8, 8), (32, 12)] {
-            let x = random_complex(n * s, (n + s) as u64);
-            let tw = StockhamTwiddles::new(n, Direction::Forward);
-
-            let mut interleaved = x.clone();
-            let mut scratch = vec![Complex64::ZERO; n * s];
-            stockham_strided(&mut interleaved, &mut scratch, n, s, &tw);
-
-            let mut blocked = vec![0.0; 2 * n * s];
-            to_block_format(&x, &mut blocked);
-            let mut bscratch = vec![0.0; 2 * n * s];
-            stockham_block_format(&mut blocked, &mut bscratch, n, s, &tw);
-            let mut back = vec![Complex64::ZERO; n * s];
-            from_block_format(&blocked, &mut back);
-
-            assert_fft_close(&back, &interleaved);
-        }
-    }
-
-    #[test]
-    fn block_format_inverse_roundtrip() {
-        let (n, s) = (64usize, 4usize);
-        let x = random_complex(n * s, 61);
-        let fwd = StockhamTwiddles::new(n, Direction::Forward);
-        let inv = StockhamTwiddles::new(n, Direction::Inverse);
-        let mut blocked = vec![0.0; 2 * n * s];
-        to_block_format(&x, &mut blocked);
-        let mut scratch = vec![0.0; 2 * n * s];
-        stockham_block_format(&mut blocked, &mut scratch, n, s, &fwd);
-        stockham_block_format(&mut blocked, &mut scratch, n, s, &inv);
-        let mut back = vec![Complex64::ZERO; n * s];
-        from_block_format(&blocked, &mut back);
-        let scaled: Vec<Complex64> = back.iter().map(|c| c.scale(1.0 / n as f64)).collect();
-        assert_fft_close(&scaled, &x);
-    }
 
     #[test]
     fn fold_unfold_roundtrip() {
@@ -259,14 +97,5 @@ mod tests {
         for (got, want) in full.iter().zip(&full_ref) {
             assert!((*got - *want).abs() < 1e-12);
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "multiple of μ")]
-    fn rejects_non_mu_stride() {
-        let tw = StockhamTwiddles::new(8, Direction::Forward);
-        let mut d = vec![0.0; 2 * 8 * 3];
-        let mut s = vec![0.0; 2 * 8 * 3];
-        stockham_block_format(&mut d, &mut s, 8, 3, &tw);
     }
 }

@@ -4,7 +4,7 @@
 //! kernels of the paper (§III-D): hand-written, verified, cache-aware
 //! 1D FFT kernels and the data-movement kernels they compose with.
 //!
-//! * [`reference`] — naive `O(n²)` DFT and row-column MDFT oracles.
+//! * [`mod@reference`] — naive `O(n²)` DFT and row-column MDFT oracles.
 //! * [`twiddle`] — precomputed twiddle tables.
 //! * [`radix2`] — in-place radix-2 DIT FFT (bit-reversed reorder), the
 //!   independent oracle the Stockham kernel is tested against.
@@ -15,9 +15,11 @@
 //!   `c = s = 1` it is also the plain reusable 1D FFT plan.
 //! * [`bluestein`] — Bluestein's chirp-z transform for sizes that are
 //!   not powers of two, and the `AnyFft` size dispatcher.
-//! * [`layout`] — interleaved ↔ block-interleaved format changes (§IV).
-//! * [`transpose`] — cacheline-blocked transpose / rotation kernels,
-//!   temporal and non-temporal (§III-A reshapes, §IV non-temporal ops).
+//! * [`layout`] — the real transform's conjugate-even fold and packed
+//!   half-spectrum helpers.
+//! * [`transpose`] — the soft-DMA load and the reshape store through a
+//!   write matrix, temporal or non-temporal (§III-A reshapes, §IV
+//!   non-temporal ops).
 //! * [`simd`] — AVX2/FMA paths with runtime dispatch and portable
 //!   fallbacks, plus non-temporal streaming copy.
 //! * [`realfft`] — real-input transforms (r2c/c2r) via the half-length

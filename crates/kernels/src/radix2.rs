@@ -7,7 +7,6 @@
 //! the canonical example of the cache-hostile behaviour the paper's
 //! blocked decompositions avoid.
 
-use crate::twiddle::StockhamTwiddles;
 use crate::Direction;
 use bwfft_num::Complex64;
 
@@ -54,38 +53,11 @@ pub fn fft_radix2_inplace(data: &mut [Complex64], dir: Direction) {
     }
 }
 
-/// Radix-2 DIT with precomputed twiddles (stage `q` of the Stockham
-/// table is consumed in reverse stage order here).
-pub fn fft_radix2_tables(data: &mut [Complex64], tw: &StockhamTwiddles) {
-    let n = data.len();
-    assert_eq!(n, tw.n);
-    if n == 1 {
-        return;
-    }
-    bit_reverse_permute(data);
-    let mut len = 2;
-    let mut stage_idx = tw.num_stages();
-    while len <= n {
-        stage_idx -= 1;
-        let table = tw.stage(stage_idx); // ω_len^p table
-        let half = len / 2;
-        for base in (0..n).step_by(len) {
-            for p in 0..half {
-                let w = table[p];
-                let a = data[base + p];
-                let b = data[base + p + half] * w;
-                data[base + p] = a + b;
-                data[base + p + half] = a - b;
-            }
-        }
-        len *= 2;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::reference::dft_naive;
+    use crate::twiddle::StockhamTwiddles;
     use bwfft_num::compare::assert_fft_close;
     use bwfft_num::signal::random_complex;
 
@@ -124,17 +96,6 @@ mod tests {
         let mut got = x.clone();
         fft_radix2_inplace(&mut got, Direction::Inverse);
         assert_fft_close(&got, &dft_naive(&x, Direction::Inverse));
-    }
-
-    #[test]
-    fn table_variant_matches_on_the_fly() {
-        let x = random_complex(256, 31);
-        let mut a = x.clone();
-        fft_radix2_inplace(&mut a, Direction::Forward);
-        let tw = StockhamTwiddles::new(256, Direction::Forward);
-        let mut b = x.clone();
-        fft_radix2_tables(&mut b, &tw);
-        assert_fft_close(&b, &a);
     }
 
     #[test]

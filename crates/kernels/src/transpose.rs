@@ -1,6 +1,7 @@
-//! Cacheline-blocked reshape kernels: the `(L ⊗ I_μ)` transposition and
-//! `(K ⊗ I_μ)` rotation of §III-A, plus the scattered store used by the
-//! write matrices `W_{b,i}`.
+//! The data side of the soft-DMA engine: the contiguous load through a
+//! read matrix `R_{b,i}`, and the store through a write matrix
+//! `W_{b,i}` that folds the `(L ⊗ I_μ)` transposition or `(K ⊗ I_μ)`
+//! rotation of §III-A into the store itself.
 //!
 //! The paper's key observation is that the reshape must move whole
 //! cachelines: the `⊗ I_μ` blocking turns an element-wise transpose
@@ -11,51 +12,6 @@
 use crate::simd;
 use bwfft_num::Complex64;
 use bwfft_spl::gather_scatter::{StagePerm, WriteMatrix};
-use bwfft_spl::PermOp;
-
-/// Out-of-place blocked transpose: input viewed as `rows × cols`
-/// packets of `blk` elements; output is the packet-transposed array.
-/// Temporal stores.
-pub fn transpose_blocked(
-    src: &[Complex64],
-    dst: &mut [Complex64],
-    rows: usize,
-    cols: usize,
-    blk: usize,
-) {
-    assert_eq!(src.len(), rows * cols * blk);
-    assert_eq!(dst.len(), src.len());
-    for i in 0..rows {
-        for j in 0..cols {
-            let s = (i * cols + j) * blk;
-            let d = (j * rows + i) * blk;
-            dst[d..d + blk].copy_from_slice(&src[s..s + blk]);
-        }
-    }
-}
-
-/// Out-of-place blocked rotation `K^{k,n}_m ⊗ I_blk` (cube of packets).
-pub fn rotate_blocked(
-    src: &[Complex64],
-    dst: &mut [Complex64],
-    k: usize,
-    n: usize,
-    m: usize,
-    blk: usize,
-) {
-    assert_eq!(src.len(), k * n * m * blk);
-    assert_eq!(dst.len(), src.len());
-    for z in 0..k {
-        for y in 0..n {
-            let row = (z * n + y) * m;
-            for x in 0..m {
-                let s = (row + x) * blk;
-                let d = (x * k * n + z * n + y) * blk;
-                dst[d..d + blk].copy_from_slice(&src[s..s + blk]);
-            }
-        }
-    }
-}
 
 /// Stores a computed buffer block back to main memory through a write
 /// matrix, moving `μ`-packets with non-temporal stores when available —
@@ -111,40 +67,12 @@ pub fn load_contiguous(
     buf[range.clone()].copy_from_slice(&src[block_start + range.start..block_start + range.end]);
 }
 
-/// Convenience: full-array blocked rotation via a [`PermOp`], used by
-/// tests and the baselines.
-pub fn apply_perm(src: &[Complex64], dst: &mut [Complex64], perm: PermOp) {
-    perm.permute(src, dst);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use bwfft_num::signal::random_complex;
     use bwfft_num::AlignedVec;
     use bwfft_spl::gather_scatter::fft3d_stage_perms;
-
-    #[test]
-    fn blocked_transpose_matches_permop() {
-        let (r, c, blk) = (6usize, 5usize, 4usize);
-        let x = random_complex(r * c * blk, 50);
-        let mut got = vec![Complex64::ZERO; x.len()];
-        transpose_blocked(&x, &mut got, r, c, blk);
-        let mut expect = vec![Complex64::ZERO; x.len()];
-        PermOp::BlockedL { rows: r, cols: c, blk }.permute(&x, &mut expect);
-        assert_eq!(got, expect);
-    }
-
-    #[test]
-    fn blocked_rotation_matches_permop() {
-        let (k, n, m, blk) = (3usize, 4usize, 5usize, 2usize);
-        let x = random_complex(k * n * m * blk, 51);
-        let mut got = vec![Complex64::ZERO; x.len()];
-        rotate_blocked(&x, &mut got, k, n, m, blk);
-        let mut expect = vec![Complex64::ZERO; x.len()];
-        PermOp::BlockedK { k, n, m, blk }.permute(&x, &mut expect);
-        assert_eq!(got, expect);
-    }
 
     #[test]
     fn store_through_write_matrix_full_range() {
@@ -195,21 +123,5 @@ mod tests {
         load_contiguous(&src, &mut buf, 32, 0..8);
         load_contiguous(&src, &mut buf, 32, 8..16);
         assert_eq!(&buf[..], &src[32..48]);
-    }
-
-    #[test]
-    fn three_rotations_return_home() {
-        // Applying the three blocked stage rotations in sequence is the
-        // identity — the kernel-level version of the SPL test.
-        let (k, n, m, mu) = (4usize, 2, 8, 2);
-        let mp = m / mu;
-        let x = random_complex(k * n * m, 55);
-        let mut t1 = vec![Complex64::ZERO; x.len()];
-        let mut t2 = vec![Complex64::ZERO; x.len()];
-        let mut t3 = vec![Complex64::ZERO; x.len()];
-        rotate_blocked(&x, &mut t1, k, n, mp, mu);
-        rotate_blocked(&t1, &mut t2, mp, k, n, mu);
-        rotate_blocked(&t2, &mut t3, n, mp, k, mu);
-        assert_eq!(t3, x);
     }
 }

@@ -1,13 +1,11 @@
 //! Property-based tests of the numeric kernels: agreement with the
-//! naive DFT at arbitrary power-of-two sizes and strides, layout
-//! round-trips, and the algebraic identities transforms must satisfy.
+//! naive DFT at arbitrary power-of-two sizes and strides, and the
+//! algebraic identities transforms must satisfy.
 
 use bwfft_kernels::batch::BatchFft;
-use bwfft_kernels::layout::{from_block_format, to_block_format};
 use bwfft_kernels::radix2::fft_radix2_inplace;
 use bwfft_kernels::reference::dft_naive;
 use bwfft_kernels::stockham::stockham_strided;
-use bwfft_kernels::transpose::{rotate_blocked, transpose_blocked};
 use bwfft_kernels::twiddle::StockhamTwiddles;
 use bwfft_kernels::Direction;
 use bwfft_num::compare::rel_l2_error;
@@ -77,50 +75,6 @@ proptest! {
             BatchFft::new(m, 1, Direction::Forward).run(&mut alone);
             prop_assert!(rel_l2_error(&joint[p * m..(p + 1) * m], &alone) < 1e-12);
         }
-    }
-
-    #[test]
-    fn layout_roundtrip_is_lossless(blocks in 1usize..32, seed in 0u64..500) {
-        let n = blocks * 4;
-        let x = random_complex(n, seed);
-        let mut blocked = vec![0.0f64; 2 * n];
-        to_block_format(&x, &mut blocked);
-        let mut back = vec![Complex64::ZERO; n];
-        from_block_format(&blocked, &mut back);
-        prop_assert_eq!(back, x);
-    }
-
-    #[test]
-    fn transpose_twice_is_identity(
-        r in 1usize..8,
-        c in 1usize..8,
-        blk in prop_oneof![Just(1usize), Just(2), Just(4)],
-        seed in 0u64..500,
-    ) {
-        let x = random_complex(r * c * blk, seed);
-        let mut t = vec![Complex64::ZERO; x.len()];
-        let mut back = vec![Complex64::ZERO; x.len()];
-        transpose_blocked(&x, &mut t, r, c, blk);
-        transpose_blocked(&t, &mut back, c, r, blk);
-        prop_assert_eq!(back, x);
-    }
-
-    #[test]
-    fn rotate_thrice_is_identity(
-        k in 1usize..5,
-        n in 1usize..5,
-        m in 1usize..5,
-        blk in prop_oneof![Just(1usize), Just(2), Just(4)],
-        seed in 0u64..500,
-    ) {
-        let x = random_complex(k * n * m * blk, seed);
-        let mut t1 = vec![Complex64::ZERO; x.len()];
-        let mut t2 = vec![Complex64::ZERO; x.len()];
-        let mut t3 = vec![Complex64::ZERO; x.len()];
-        rotate_blocked(&x, &mut t1, k, n, m, blk);
-        rotate_blocked(&t1, &mut t2, m, k, n, blk);
-        rotate_blocked(&t2, &mut t3, n, m, k, blk);
-        prop_assert_eq!(t3, x);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! The STREAM methodology (McCalpin, paper ref [1]).
+//! The STREAM methodology (McCalpin, paper ref \[1\]).
 //!
 //! The paper's "achievable peak" roofline divides the FFT's minimum
 //! memory traffic by the bandwidth *measured with STREAM*, not the

@@ -11,8 +11,7 @@
 //! * [`registry`] — a sharded [`Registry`] of named [`Counter`]s,
 //!   [`Gauge`]s and log2-bucketed mergeable [`Histogram`]s. Handles are
 //!   pre-registered (the only locking) and then updated with single
-//!   relaxed atomics; a *disabled* handle is `None` inside and every
-//!   update is one branch. Histograms keep fixed 64-bucket arrays —
+//!   relaxed atomics. Histograms keep fixed 64-bucket arrays —
 //!   no stored samples, so memory is constant and snapshots merge by
 //!   bucket-wise addition.
 //! * [`snapshot`] — point-in-time [`MetricsSnapshot`]s exported as

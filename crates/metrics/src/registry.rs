@@ -3,10 +3,8 @@
 //! The hot-path contract mirrors `bwfft_trace::ThreadTracer`: all
 //! locking happens at *registration* (once per metric name, at service
 //! start), never at update time. A handle is a clone-able wrapper
-//! around `Option<Arc<atomic>>`; updating through a registered handle
-//! is one relaxed atomic RMW, and updating through a disabled handle
-//! (built when no registry is configured) is a single branch — no
-//! clock, no allocation, no fence.
+//! around the registered `Arc<atomic>` cell; an update is one relaxed
+//! atomic RMW — no clock, no allocation, no fence.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -94,17 +92,12 @@ impl HistogramCell {
     }
 }
 
-/// A monotonically increasing count. Cheap to clone; disabled until
-/// registered through a [`Registry`].
-#[derive(Clone, Default)]
-pub struct Counter(Option<Arc<AtomicU64>>);
+/// A monotonically increasing count. Cheap to clone; every clone
+/// shares one cell, obtained from [`Registry::counter`].
+#[derive(Clone)]
+pub struct Counter(Arc<AtomicU64>);
 
 impl Counter {
-    /// The no-op handle: every update is one branch.
-    pub fn disabled() -> Self {
-        Counter(None)
-    }
-
     #[inline]
     pub fn inc(&self) {
         self.add(1);
@@ -112,68 +105,49 @@ impl Counter {
 
     #[inline]
     pub fn add(&self, n: u64) {
-        if let Some(c) = &self.0 {
-            c.fetch_add(n, Ordering::Relaxed);
-        }
+        self.0.fetch_add(n, Ordering::Relaxed);
     }
 
     pub fn get(&self) -> u64 {
-        self.0.as_ref().map_or(0, |c| c.load(Ordering::Relaxed))
+        self.0.load(Ordering::Relaxed)
     }
 }
 
 /// A point-in-time level (queue depth, breaker position, hit rate).
 /// Stores `f64` bits in an `AtomicU64`.
-#[derive(Clone, Default)]
-pub struct Gauge(Option<Arc<AtomicU64>>);
+#[derive(Clone)]
+pub struct Gauge(Arc<AtomicU64>);
 
 impl Gauge {
-    pub fn disabled() -> Self {
-        Gauge(None)
-    }
-
     #[inline]
     pub fn set(&self, v: f64) {
-        if let Some(c) = &self.0 {
-            c.store(v.to_bits(), Ordering::Relaxed);
-        }
+        self.0.store(v.to_bits(), Ordering::Relaxed);
     }
 
     pub fn get(&self) -> f64 {
-        self.0
-            .as_ref()
-            .map_or(0.0, |c| f64::from_bits(c.load(Ordering::Relaxed)))
+        f64::from_bits(self.0.load(Ordering::Relaxed))
     }
 }
 
 /// A log2-bucketed distribution (no stored samples; constant memory).
-#[derive(Clone, Default)]
-pub struct Histogram(Option<Arc<HistogramCell>>);
+#[derive(Clone)]
+pub struct Histogram(Arc<HistogramCell>);
 
 impl Histogram {
-    pub fn disabled() -> Self {
-        Histogram(None)
-    }
-
     #[inline]
     pub fn record(&self, v: u64) {
-        if let Some(c) = &self.0 {
-            c.record(v);
-        }
+        self.0.record(v);
     }
 
     /// Record a duration as nanoseconds (saturating above `u64::MAX`).
     #[inline]
     pub fn record_duration(&self, d: std::time::Duration) {
-        if let Some(c) = &self.0 {
-            c.record(u64::try_from(d.as_nanos()).unwrap_or(u64::MAX));
-        }
+        self.0
+            .record(u64::try_from(d.as_nanos()).unwrap_or(u64::MAX));
     }
 
     pub fn snapshot(&self) -> HistogramSnapshot {
-        self.0
-            .as_ref()
-            .map_or_else(HistogramSnapshot::empty, |c| c.snapshot())
+        self.0.snapshot()
     }
 }
 
@@ -351,17 +325,17 @@ impl Registry {
     }
 
     /// Register (or look up) a counter. Registering an existing name of
-    /// a *different* kind returns a disabled handle instead of
-    /// corrupting the original — a misuse that shows up as a silent
-    /// zero, never a wrong metric.
+    /// a *different* kind returns a handle to a detached cell instead of
+    /// corrupting the original — a misuse whose updates never reach a
+    /// snapshot, never a wrong metric.
     pub fn counter(&self, name: &str) -> Counter {
         let mut shard = lock_shard(&self.shards[shard_of(name)]);
         match shard
             .entry(name.to_string())
             .or_insert_with(|| Metric::Counter(Arc::new(AtomicU64::new(0))))
         {
-            Metric::Counter(c) => Counter(Some(Arc::clone(c))),
-            _ => Counter(None),
+            Metric::Counter(c) => Counter(Arc::clone(c)),
+            _ => Counter(Arc::new(AtomicU64::new(0))),
         }
     }
 
@@ -372,8 +346,8 @@ impl Registry {
             .entry(name.to_string())
             .or_insert_with(|| Metric::Gauge(Arc::new(AtomicU64::new(0f64.to_bits()))))
         {
-            Metric::Gauge(c) => Gauge(Some(Arc::clone(c))),
-            _ => Gauge(None),
+            Metric::Gauge(c) => Gauge(Arc::clone(c)),
+            _ => Gauge(Arc::new(AtomicU64::new(0f64.to_bits()))),
         }
     }
 
@@ -384,8 +358,8 @@ impl Registry {
             .entry(name.to_string())
             .or_insert_with(|| Metric::Histogram(Arc::new(HistogramCell::new())))
         {
-            Metric::Histogram(c) => Histogram(Some(Arc::clone(c))),
-            _ => Histogram(None),
+            Metric::Histogram(c) => Histogram(Arc::clone(c)),
+            _ => Histogram(Arc::new(HistogramCell::new())),
         }
     }
 
@@ -401,10 +375,7 @@ impl Registry {
     /// value (for mirroring an externally accumulated total — the
     /// serve buffer pool's — into the registry at scrape time).
     pub fn set_counter(&self, name: &str, v: u64) {
-        let handle = self.counter(name);
-        if let Some(c) = &handle.0 {
-            c.store(v, Ordering::Relaxed);
-        }
+        self.counter(name).0.store(v, Ordering::Relaxed);
     }
 
     /// Rare-path convenience: set a gauge by name.
@@ -452,20 +423,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn disabled_handles_are_no_ops() {
-        let c = Counter::disabled();
-        c.inc();
-        c.add(10);
-        assert_eq!(c.get(), 0);
-        let g = Gauge::disabled();
-        g.set(3.5);
-        assert_eq!(g.get(), 0.0);
-        let h = Histogram::disabled();
-        h.record(42);
-        assert_eq!(h.snapshot().count, 0);
-    }
-
-    #[test]
     fn registered_handles_share_one_cell() {
         let r = Registry::new();
         let a = r.counter("serve.completed");
@@ -478,7 +435,7 @@ mod tests {
     }
 
     #[test]
-    fn kind_conflicts_yield_disabled_handles_not_corruption() {
+    fn kind_conflicts_yield_detached_handles_not_corruption() {
         let r = Registry::new();
         let c = r.counter("x");
         c.inc();
@@ -487,8 +444,19 @@ mod tests {
         let h = r.histogram("x");
         h.record(7);
         assert_eq!(c.get(), 1, "original survives");
-        assert_eq!(g.get(), 0.0, "conflicting gauge is disabled");
-        assert_eq!(h.snapshot().count, 0, "conflicting histogram is disabled");
+        assert_eq!(
+            r.counter("x").get(),
+            1,
+            "the name still maps to the original"
+        );
+        let snap = r.snapshot();
+        assert_eq!(snap.counters.get("x"), Some(&1));
+        assert_eq!(snap.gauges.get("x"), None, "conflicting gauge is detached");
+        assert_eq!(
+            snap.histograms.get("x"),
+            None,
+            "conflicting histogram is detached"
+        );
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //!
 //! The workspace deliberately carries its own complex type instead of
 //! pulling in `num-complex`: the layout (`repr(C)`, 16 bytes, re then im)
-//! is load-bearing — cacheline blocking, SIMD shuffles and the
-//! interleaved ↔ block-interleaved format changes in `bwfft-kernels` all
+//! is load-bearing — cacheline blocking (four elements per 64-byte line)
+//! and the SIMD butterflies and streaming copies in `bwfft-kernels` all
 //! assume it.
 
 use core::fmt;

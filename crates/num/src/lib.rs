@@ -8,9 +8,6 @@
 //!   multiply-by-root helpers.
 //! * [`AlignedVec`] — heap storage aligned to a cacheline boundary (64
 //!   bytes), the granularity at which the paper moves and reshapes data.
-//! * [`split`] — views of complex data in *block-interleaved* (split
-//!   real/imaginary) format, the in-cache layout of the paper's compute
-//!   kernels (§IV, "cache aware FFT").
 //! * [`compare`] — error norms used by the test suites (max relative
 //!   error, relative ℓ2 error).
 //! * [`signal`] — deterministic test-signal generators.
@@ -21,7 +18,6 @@ pub mod compare;
 pub mod complex;
 pub mod pool;
 pub mod signal;
-pub mod split;
 
 pub use aligned::AlignedVec;
 pub use alloc::{check_alloc_budget, try_vec_zeroed, AllocError};

@@ -927,19 +927,7 @@ pub fn execute_resumable(
             rework_blocks += pending.len() as u64;
         }
         if !pending.is_empty() {
-            // Per-stage metrics are deltas of the run-wide accumulators
-            // captured around each stage, so the hot I/O loops stay
-            // untouched.
-            let before = cfg.metrics.as_ref().map(|_| {
-                (
-                    io.bytes_read.load(Ordering::Relaxed),
-                    io.bytes_written.load(Ordering::Relaxed),
-                    retries,
-                    serial_fallbacks,
-                )
-            });
-            let stage_t0 = cfg.metrics.as_ref().map(|_| Instant::now());
-            let verdict = run_stage_recovered(
+            run_stage_recovered(
                 stage,
                 plan,
                 cfg,
@@ -950,32 +938,7 @@ pub fn execute_resumable(
                 ckpt,
                 &mut retries,
                 &mut serial_fallbacks,
-            );
-            if let (Some(reg), Some((r0, w0, rt0, sf0))) = (cfg.metrics.as_ref(), before) {
-                reg.add(
-                    &format!("ooc.{}.bytes_read", stage.name),
-                    io.bytes_read.load(Ordering::Relaxed) - r0,
-                );
-                reg.add(
-                    &format!("ooc.{}.bytes_written", stage.name),
-                    io.bytes_written.load(Ordering::Relaxed) - w0,
-                );
-                reg.add(
-                    &format!("ooc.{}.retries", stage.name),
-                    u64::from(retries - rt0),
-                );
-                reg.add(
-                    &format!("ooc.{}.serial_fallbacks", stage.name),
-                    u64::from(serial_fallbacks - sf0),
-                );
-                if let Some(t0) = stage_t0 {
-                    reg.observe(
-                        &format!("ooc.{}.stage_ns", stage.name),
-                        t0.elapsed().as_nanos() as u64,
-                    );
-                }
-            }
-            verdict?;
+            )?;
         }
         if let Some(j) = journal {
             // The stage record commits only after every block record:
@@ -986,13 +949,6 @@ pub fn execute_resumable(
     let bytes_read = io.bytes_read.load(Ordering::Relaxed);
     let bytes_written = io.bytes_written.load(Ordering::Relaxed);
     let resumed = resume.is_some();
-    if let (Some(reg), true) = (cfg.metrics.as_ref(), resumed) {
-        reg.add("ooc.resume.runs", 1);
-        reg.add("ooc.resume.skipped_blocks", skipped_blocks);
-        reg.add("ooc.resume.reverified_blocks", reverified_blocks);
-        reg.add("ooc.resume.rework_blocks", rework_blocks);
-        reg.add("ooc.resume.resumed_bytes", bytes_read + bytes_written);
-    }
     Ok(OocReport {
         n: plan.n,
         n1: plan.n1,

@@ -119,9 +119,6 @@ pub struct OocConfig {
     pub fault: Option<OocFault>,
     /// Span/mark sink shared with the in-RAM executors.
     pub trace: Option<Arc<TraceCollector>>,
-    /// Metrics registry for per-stage storage accounting
-    /// (`ooc.<stage>.*`). `None` keeps the run metric-free.
-    pub metrics: Option<Arc<bwfft_metrics::Registry>>,
     /// Checkpointing knobs; inert unless the run carries a journal
     /// (see [`crate::run_checkpointed`]).
     pub checkpoint: CheckpointConfig,
@@ -143,7 +140,6 @@ impl Default for OocConfig {
             integrity: IntegrityConfig::default(),
             fault: None,
             trace: None,
-            metrics: None,
             checkpoint: CheckpointConfig::default(),
         }
     }

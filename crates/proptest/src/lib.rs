@@ -153,7 +153,7 @@ pub mod collection {
     use crate::strategy::Strategy;
     use crate::TestRng;
 
-    /// Length bounds for [`vec`]; converted from the range forms the
+    /// Length bounds for [`vec()`]; converted from the range forms the
     /// call sites use.
     #[derive(Clone, Copy, Debug)]
     pub struct SizeRange {

@@ -13,7 +13,7 @@
 //! * [`event`] — the event model: timed spans keyed by
 //!   `(role, thread, stage, block, phase)` plus untimed [`event::MarkEvent`]s
 //!   for degradations, fault-injection outcomes and tuner telemetry.
-//! * [`aggregate`] — turns a raw event soup into a [`TraceReport`]:
+//! * [`mod@aggregate`] — turns a raw event soup into a [`TraceReport`]:
 //!   per-stage wall time, per-phase busy time (as interval *unions*, so
 //!   parallel threads don't double-count), barrier-wait time per role,
 //!   the compute/transfer overlap fraction, and achieved vs. achievable

@@ -13,6 +13,9 @@ fast=0
 echo "== clippy (lints are errors; unwrap/expect denied in library code) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "== rustdoc (doc warnings, such as unresolved links, are errors) =="
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
+
 if [ "$fast" -eq 0 ]; then
   echo "== release build =="
   cargo build --release
@@ -86,6 +89,8 @@ refused() {
 }
 refused --inverse serve --requests 1 --inverse
 refused --suite run --dims 8x8 --suite fast
+refused --requests bench --suite smoke --requests 2
+refused --reps bench-serve --requests 1 --reps 3
 echo "flag table smoke: OK"
 
 echo "== profile smoke (--profile=json emits parseable, finite report) =="
@@ -161,7 +166,7 @@ echo "$serve_soak_out" | grep -q "serve soak contract holds" \
   || { echo "serve soak smoke FAILED:"; echo "$serve_soak_out"; exit 1; }
 # The open-loop latency bench must emit a valid record whose service
 # columns balance, and a self-compare must pass the p99 gate path.
-cargo run -q --bin bwfft-cli -- bench --suite serve --requests 16 --workers 2 \
+cargo run -q --bin bwfft-cli -- bench-serve --requests 16 --workers 2 \
   --queue-depth 8 --seed 42 --out "$benchdir/BENCH_serve.json" > /dev/null
 python3 -c '
 import json, sys
@@ -395,7 +400,7 @@ echo "metrics overhead gate (recorded pair): OK (< 2% median)"
 if [ "$fast" -eq 1 ]; then
   echo "metrics overhead gate (live): skipped (--fast; run the full gate locally)"
 else
-  if ! cargo run -q --release --bin bwfft-cli -- bench --suite serve \
+  if ! cargo run -q --release --bin bwfft-cli -- bench-serve \
        --dims 64x64 --buffer 512 --requests 96 --workers 2 --queue-depth 16 \
        --arrival-us 2500 --seed 42 --metrics-overhead --threshold 25 \
        --baseline-out "$benchdir/BENCH_metrics_off.json" \

@@ -83,11 +83,11 @@
 //! `serve` drives the overload-safe concurrent service
 //! (`bwfft-serve`) with an open-loop request schedule and prints the
 //! drained report: completions with p50/p99 latency, rejections by
-//! reason, deadline misses, degradation-governor transitions. `bench
-//! --suite serve` runs the same driver through the statistical harness
-//! and writes a `bwfft-bench/1` record whose service row carries
-//! requests/sec, p50/p99 and the outcome counts; `--compare` then
-//! gates the p99 tail exactly like medians.
+//! reason, deadline misses, degradation-governor transitions.
+//! `bench-serve` runs the same load generator through the statistical
+//! harness and writes a `bwfft-bench/1` record whose service row
+//! carries requests/sec, p50/p99 and the outcome counts; `--compare`
+//! then gates the p99 tail exactly like medians.
 //!
 //! The server always counts into a registry; `serve --metrics` only
 //! selects export, and arms the flight recorder: Prometheus text (or, with `--metrics=json`, one-line
@@ -97,8 +97,8 @@
 //! (breaker degradations, integrity trips, panics) are printed before
 //! the final snapshot. `stat --from A.json --to B.json` diffs two
 //! snapshot transcripts into per-second rates and interval
-//! percentiles. `bench --suite serve --metrics-overhead --baseline-out
-//! PATH` measures the paired metrics-off/metrics-on runs and gates the
+//! percentiles. `bench-serve --metrics-overhead --baseline-out PATH`
+//! measures the paired metrics-off/metrics-on runs and gates the
 //! instrumentation overhead with the ordinary compare threshold — this
 //! is how the `< 2%` budget in `scripts/verify.sh` and the CI
 //! `metrics-overhead` job is enforced.
@@ -279,16 +279,18 @@ const COMMANDS: &[Command] = &[
         ("plan-stats", Switch), ("wisdom", Value("PATH")), ("profile", Glued("json")),
     ]},
     Command { name: "bench", run: cmd_bench, flags: &[
-        ("suite", Value("smoke|fast|full|serve")), ("reps", Value("N")), ("warmup", Value("N")),
+        ("suite", Value("smoke|fast|full")), ("reps", Value("N")), ("warmup", Value("N")),
         ("seed", Value("S")), ("machine", Value("NAME")), ("out", Value("PATH")),
         ("derate", Value("F")), ("integrity", Switch), ("baseline-out", Value("PATH")),
         ("compare", Value("BASELINE")), ("current", Value("PATH")), ("threshold", Value("PCT")),
-        ("metrics-overhead", Switch),
-        // The serve suite's open-loop load generator.
+    ]},
+    Command { name: "bench-serve", run: cmd_bench_serve, flags: &[
         ("requests", Value("N")), ("workers", Value("W")), ("arrival-us", Value("N")),
         ("dims", Value("KxNxM")), ("buffer", Value("B")), ("threads", Value("D,C")),
         ("queue-depth", Value("Q")), ("byte-budget", Value("BYTES")),
-        ("deadline-ms", Value("N")),
+        ("deadline-ms", Value("N")), ("seed", Value("S")), ("out", Value("PATH")),
+        ("derate", Value("F")), ("metrics-overhead", Switch), ("baseline-out", Value("PATH")),
+        ("compare", Value("BASELINE")), ("threshold", Value("PCT")),
     ]},
     Command { name: "soak", run: cmd_soak, flags: &[
         ("iters", Value("N")), ("seed", Value("S")), ("stall-ms", Value("N")),
@@ -730,8 +732,8 @@ fn cmd_soak(opts: &Flags) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Builds the open-loop driver config from `serve` / `bench --suite
-/// serve` flags.
+/// Builds the open-loop load generator's config from `serve` /
+/// `bench-serve` flags.
 fn serve_bench_config(opts: &Flags) -> Result<ServeBenchConfig, CliError> {
     let d = ServeBenchConfig::default();
     let cfg = ServeBenchConfig {
@@ -1622,12 +1624,7 @@ fn cmd_simulate(opts: &Flags) -> Result<(), CliError> {
 /// both `--compare` and `--current` nothing is run — the two existing
 /// files are compared directly (the CI gate's replay mode).
 fn cmd_bench(opts: &Flags) -> Result<(), CliError> {
-    let gate = GateConfig {
-        threshold_pct: opts
-            .get("threshold")?
-            .unwrap_or_else(|| GateConfig::default().threshold_pct),
-        ..GateConfig::default()
-    };
+    let gate = gate_config(opts)?;
     let derate_factor: Option<f64> = opts.get("derate")?;
 
     // Replay mode: compare two existing BENCH files, run nothing.
@@ -1643,15 +1640,13 @@ fn cmd_bench(opts: &Flags) -> Result<(), CliError> {
         return finish_compare(&base, &cur, &gate);
     }
 
-    // The service-latency suite routes through the open-loop driver
-    // instead of the executor measurement loop.
-    if opts.raw("suite") == Some("serve") {
-        return cmd_bench_serve(opts, &gate, derate_factor);
-    }
     let kind = match opts.raw("suite") {
         None => SuiteKind::Smoke,
-        Some(s) => SuiteKind::parse(s)
-            .ok_or_else(|| usage(format!("unknown --suite `{s}` (smoke|fast|full|serve)")))?,
+        Some(s) => SuiteKind::parse(s).ok_or_else(|| {
+            usage(format!(
+                "unknown --suite `{s}` (smoke|fast|full; serve is `bench-serve`)"
+            ))
+        })?,
     };
     let mut mcfg = MeasureConfig::default();
     mcfg.reps = opts.get("reps")?.unwrap_or(mcfg.reps);
@@ -1718,15 +1713,25 @@ fn cmd_bench(opts: &Flags) -> Result<(), CliError> {
     Ok(())
 }
 
-/// `bench --suite serve`: the open-loop latency bench. Writes a
-/// single-row `bwfft-bench/1` record whose service columns carry
-/// requests/sec, p50/p99 and the outcome counts, then gates against a
-/// baseline like any other suite (the p99 tail is threshold-gated).
-fn cmd_bench_serve(
-    opts: &Flags,
-    gate: &GateConfig,
-    derate_factor: Option<f64>,
-) -> Result<(), CliError> {
+/// The compare gate of `bench` and `bench-serve`: the default gate at
+/// `--threshold`.
+fn gate_config(opts: &Flags) -> Result<GateConfig, CliError> {
+    let d = GateConfig::default();
+    Ok(GateConfig {
+        threshold_pct: opts.get("threshold")?.unwrap_or(d.threshold_pct),
+        ..d
+    })
+}
+
+/// `bench-serve`: the open-loop latency bench. Writes a single-row
+/// `bwfft-bench/1` record (suite kind `serve`) whose service columns
+/// carry requests/sec, p50/p99 and the outcome counts, then gates
+/// against a baseline like any other suite (the p99 tail is
+/// threshold-gated). Replaying two existing records is `bench
+/// --current`, whatever suite wrote them.
+fn cmd_bench_serve(opts: &Flags) -> Result<(), CliError> {
+    let gate = &gate_config(opts)?;
+    let derate_factor: Option<f64> = opts.get("derate")?;
     let cfg = serve_bench_config(opts)?;
     let overhead_pair = opts.has("metrics-overhead");
     let baseline_out: Option<PathBuf> = opts.get("baseline-out")?;
@@ -1930,7 +1935,14 @@ mod tests {
             }
         }
         // The flags each command used to drop silently.
-        for (cmd, flag) in [("serve", "inverse"), ("run", "suite"), ("ooc", "profile")] {
+        for (cmd, flag) in [
+            ("serve", "inverse"),
+            ("run", "suite"),
+            ("ooc", "profile"),
+            ("bench", "requests"),
+            ("bench-serve", "reps"),
+            ("bench-serve", "integrity"),
+        ] {
             let args = vec![format!("--{flag}")];
             match parse_flags(cmd, &args) {
                 Err(CliError::Usage(msg)) => assert!(msg.contains(&format!("--{flag}")), "{msg}"),
@@ -2420,7 +2432,7 @@ mod tests {
 
     #[test]
     fn metrics_overhead_requires_baseline_out() {
-        let args: Vec<String> = ["bench", "--suite", "serve", "--metrics-overhead"]
+        let args: Vec<String> = ["bench-serve", "--metrics-overhead"]
             .iter()
             .map(|s| s.to_string())
             .collect();
@@ -2554,7 +2566,7 @@ mod tests {
         let baseline = dir.join("BENCH_serve_base.json");
 
         let base_args: Vec<String> = [
-            "bench", "--suite", "serve", "--requests", "8", "--workers", "2",
+            "bench-serve", "--requests", "8", "--workers", "2",
             "--seed", "5", "--out", baseline.to_str().unwrap(),
         ]
         .iter()
@@ -2573,7 +2585,7 @@ mod tests {
         // must name it even without CI separation.
         let current = dir.join("BENCH_serve_cur.json");
         let cur_args: Vec<String> = [
-            "bench", "--suite", "serve", "--requests", "8", "--workers", "2",
+            "bench-serve", "--requests", "8", "--workers", "2",
             "--seed", "5", "--derate", "3",
             "--out", current.to_str().unwrap(),
             "--compare", baseline.to_str().unwrap(),
@@ -2603,11 +2615,13 @@ mod tests {
 
     #[test]
     fn bench_flag_validation() {
-        let args: Vec<String> = ["bench", "--suite", "warp"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        assert!(matches!(run(&args), Err(CliError::Usage(_))));
+        for suite in ["warp", "serve"] {
+            let args: Vec<String> = ["bench", "--suite", suite]
+                .iter()
+                .map(|s| s.to_string())
+                .collect();
+            assert!(matches!(run(&args), Err(CliError::Usage(_))), "{suite}");
+        }
         let args: Vec<String> = ["bench", "--current", "x.json"]
             .iter()
             .map(|s| s.to_string())

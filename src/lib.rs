@@ -13,7 +13,7 @@
 //! |---|---|
 //! | [`num`] | complex scalars, aligned buffers, error norms |
 //! | [`spl`] | the SPL/Kronecker formula language and rewrite rules |
-//! | [`kernels`] | Stockham/radix-2 kernels, layouts, blocked reshapes |
+//! | [`kernels`] | Stockham pencil kernels, the reshape store, naive-DFT oracles |
 //! | [`machine`] | simulated multicore/multi-socket machines (§V presets) |
 //! | [`pipeline`] | Table II schedules, thread roles, the real executor |
 //! | [`core`] | the double-buffered 2D/3D FFT plans and both executors |
@@ -21,7 +21,7 @@
 //! | [`metrics`] | lock-free counters/gauges/histograms, snapshots, flight recorder |
 //! | [`tuner`] | autotuner, concurrent plan cache, persistent wisdom |
 //! | [`baselines`] | MKL-like / FFTW-like / slab–pencil comparators |
-//! | [`bench`] | statistical benchmark harness, `BENCH_*.json` records, regression gate |
+//! | [`mod@bench`] | statistical benchmark harness, `BENCH_*.json` records, regression gate |
 //! | [`serve`] | overload-safe concurrent FFT service: admission control, deadlines, degradation, drain |
 //! | [`ooc`] | out-of-core streaming tier: file-backed transforms larger than RAM, sampled oracles |
 //! | [`real`] | real-input transforms (r2c/c2r), fused spectral convolution, spectral Poisson solve |

@@ -3,10 +3,11 @@
 //!
 //! Each iteration draws a fault plan (or none) from a seeded generator,
 //! runs a small transform under [`Supervisor`] with every integrity
-//! guard armed, and checks the outcome against an *independent* oracle
-//! (`bwfft-baselines`' row-column reference — deliberately not the
-//! core-internal reference executor, which is itself an escalation
-//! tier). The harness asserts the recovery contract:
+//! guard armed, and checks the outcome against an *independent* oracle:
+//! the naive `O(n²)` DFT of `bwfft-kernels::reference`, which shares no
+//! code with any tier (the reference tier's row-column loops are
+//! themselves an escalation tier, so they cannot judge it). The harness
+//! asserts the recovery contract:
 //!
 //! * **never a wrong answer** — a run that returns `Ok` must match the
 //!   oracle to FFT tolerance (a mismatch is counted as a silent
@@ -19,10 +20,11 @@
 //! The `soak` CLI subcommand and `tests/soak.rs` drive this module; the
 //! CI smoke tier runs it with a fixed seed.
 
-use bwfft_baselines::reference_impl::{pencil_fft_2d, pencil_fft_3d};
 use bwfft_core::exec_real::ExecConfig;
 use bwfft_core::CoreError;
 use bwfft_core::{Dims, FftPlan, RecoveryTier, RetryPolicy, SupervisedReport, Supervisor};
+use bwfft_kernels::reference::{dft2_naive, dft3_naive};
+use bwfft_kernels::Direction;
 use bwfft_num::compare::{fft_tolerance, rel_l2_error};
 use bwfft_num::signal::random_complex;
 use bwfft_num::Complex64;
@@ -175,15 +177,17 @@ impl SoakReport {
     }
 }
 
-/// The small shapes the soak rotates through: one 2D, two 3D, all a few
-/// blocks long so every schedule region (prologue / steady state /
-/// epilogue) sees faults.
+/// The small shapes the soak rotates through, with their buffer sizes:
+/// one 2D, two 3D, all a few blocks long so every schedule region
+/// (prologue / steady state / epilogue) sees faults.
+pub const SOAK_SHAPES: [(Dims, usize); 3] = [
+    (Dims::Two { n: 16, m: 32 }, 128),
+    (Dims::Three { k: 8, n: 8, m: 16 }, 128),
+    (Dims::Three { k: 8, n: 16, m: 16 }, 256),
+];
+
 fn shape_for(rng: &mut XorShift64Star) -> (Dims, usize) {
-    match rng.below(3) {
-        0 => (Dims::d2(16, 32), 128),
-        1 => (Dims::d3(8, 8, 16), 128),
-        _ => (Dims::d3(8, 16, 16), 256),
-    }
+    SOAK_SHAPES[rng.below(SOAK_SHAPES.len() as u64) as usize]
 }
 
 fn random_phase(rng: &mut XorShift64Star, role: Role) -> FaultPhase {
@@ -256,16 +260,13 @@ fn random_fault(
     }
 }
 
-/// The independent oracle: `bwfft-baselines`' row-column transform.
+/// The independent oracle: the naive forward DFT. At the soak's sizes
+/// (at most 2,048 points) it costs about 80k complex multiply-adds.
 fn oracle(dims: Dims, x: &[Complex64]) -> Vec<Complex64> {
-    let mut want = x.to_vec();
     match dims {
-        Dims::Two { n, m } => pencil_fft_2d(&mut want, n, m, bwfft_kernels::Direction::Forward),
-        Dims::Three { k, n, m } => {
-            pencil_fft_3d(&mut want, k, n, m, bwfft_kernels::Direction::Forward)
-        }
+        Dims::Two { n, m } => dft2_naive(x, n, m, Direction::Forward),
+        Dims::Three { k, n, m } => dft3_naive(x, k, n, m, Direction::Forward),
     }
-    want
 }
 
 /// Runs the soak: `cfg.iters` randomized fault-injected supervised
@@ -395,7 +396,7 @@ pub struct ServeSoakReport {
     pub failed: u64,
     /// Completions that needed supervisor recovery.
     pub recovered: u64,
-    /// Completions whose output did NOT match the pencil oracle. The
+    /// Completions whose output did NOT match the naive-DFT oracle. The
     /// invariant under test: must stay zero.
     pub oracle_mismatches: u64,
     /// Lifecycles whose drained report failed its own accounting, or
@@ -470,7 +471,7 @@ struct ServeProbe {
 /// Runs the concurrent overload matrix against `bwfft-serve`. Each
 /// iteration builds a fresh server under one [`ServeScenario`], throws
 /// a randomized batch at it, drains, and verifies every ticket:
-/// completed outputs against the pencil oracle, and the per-ticket
+/// completed outputs against the naive-DFT oracle, and the per-ticket
 /// outcome tally against the drained [`bwfft_serve::ServeReport`].
 pub fn run_serve_soak(cfg: &ServeSoakConfig) -> Result<ServeSoakReport, ServeError> {
     silence_injected_panic_reports();

@@ -10,11 +10,13 @@ use bwfft::core::exec_real::ExecConfig;
 use bwfft::core::{
     Dims, FftPlan, RecoveryAction, RecoveryTier, RetryPolicy, Supervisor,
 };
-use bwfft::num::compare::assert_fft_close;
+use bwfft::kernels::reference::{dft2_naive, dft3_naive};
+use bwfft::kernels::Direction;
+use bwfft::num::compare::{assert_fft_close, fft_tolerance, rel_l2_error};
 use bwfft::num::signal::random_complex;
 use bwfft::num::Complex64;
 use bwfft::pipeline::{FaultPlan, IntegrityConfig, Role};
-use bwfft::soak::{run_soak, SoakConfig};
+use bwfft::soak::{run_soak, SoakConfig, SOAK_SHAPES};
 use bwfft::trace::{MarkKind, TraceCollector};
 use std::sync::Arc;
 use std::time::Duration;
@@ -55,6 +57,42 @@ fn soak_200_iterations_never_wrong_never_panics() {
         report.render()
     );
     assert!(report.recovered > 0, "no run ever recovered:\n{}", report.render());
+}
+
+/// The soak's oracle must be able to judge the reference tier too: on
+/// every soak shape, compute thread 0 panicking at block 1 (a site both
+/// real executors hit) forces the supervisor down to the reference
+/// tier, whose output must match the naive DFT — code no tier shares.
+#[test]
+fn reference_tier_matches_the_naive_dft_on_every_soak_shape() {
+    bwfft::pipeline::fault::silence_injected_panic_reports();
+    let sup = Supervisor::new(SoakConfig::default().policy);
+    for (dims, b) in SOAK_SHAPES {
+        let plan = FftPlan::builder(dims)
+            .buffer_elems(b)
+            .threads(2, 2)
+            .build()
+            .unwrap();
+        let x = random_complex(dims.total(), 4343);
+        let cfg = ExecConfig {
+            fault: Some(FaultPlan::panic_at(Role::Compute, 0, 1)),
+            integrity: IntegrityConfig::full(),
+            ..ExecConfig::default()
+        };
+        let mut data = x.clone();
+        let mut work = vec![Complex64::ZERO; x.len()];
+        let rep = sup.run(&plan, &mut data, &mut work, &cfg).unwrap();
+        assert_eq!(rep.tier, RecoveryTier::Reference, "{dims:?}");
+        let want = match dims {
+            Dims::Two { n, m } => dft2_naive(&x, n, m, Direction::Forward),
+            Dims::Three { k, n, m } => dft3_naive(&x, k, n, m, Direction::Forward),
+        };
+        let err = rel_l2_error(&data, &want);
+        assert!(
+            err <= fft_tolerance(want.len()),
+            "{dims:?}: rel-L2 {err:.3e} against the naive DFT"
+        );
+    }
 }
 
 /// Same seed ⇒ same aggregate outcome, across the full fault matrix.
